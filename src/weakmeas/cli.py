@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -33,8 +32,6 @@ from .meters import (
     GridSpec,
     chirped_gaussian_state,
     gaussian_grid_meter,
-    momentum_operator,
-    position_operator,
     qubit_meter,
 )
 from .oracle import exact_outcome_distribution, monte_carlo_run, projective_A_oracle
@@ -52,6 +49,7 @@ from .protocol import (
     meter_reading,
     projective_conditional_expectation,
     richardson_limit,
+    unconditional_limit,
     weak_value_closed_form,
     weak_value_extrapolation,
 )
@@ -78,12 +76,25 @@ class ConfigError(ValueError):
 # configuration
 
 
+def _is_number(x) -> bool:
+    # a JSON true loads as a Python int, but it is not a number
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number(x, key: str, kind=float):
+    """A finite config number, converted to ``kind``; booleans, strings
+    and JSON's Infinity/NaN are refused rather than coerced."""
+    if not _is_number(x) or (isinstance(x, float) and not math.isfinite(x)):
+        raise ConfigError(f"{key} must be a finite number, got {x!r}")
+    return kind(x)
+
+
 def _decode_scalar(x) -> complex:
     """A config number is either a plain real or an [re, im] pair."""
-    if isinstance(x, (int, float)):
+    if _is_number(x):
         return complex(float(x), 0.0)
     if (isinstance(x, (list, tuple)) and len(x) == 2
-            and all(isinstance(p, (int, float)) for p in x)):
+            and all(_is_number(p) for p in x)):
         return complex(float(x[0]), float(x[1]))
     raise ConfigError(f"expected a number or [re, im] pair, got {x!r}")
 
@@ -131,6 +142,10 @@ class MeterConfig:
         if self.kind not in ("qubit", "grid"):
             raise ConfigError(f"meter kind must be qubit or grid, "
                               f"got {self.kind!r}")
+        for name in ("rho", "half_width"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"meter {name} must be finite, "
+                                  f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -270,25 +285,30 @@ class ExperimentConfig:
                 f_amps=_canonical_vector(system["f"]),
                 meter=MeterConfig(
                     kind=meter_d.get("kind", "qubit"),
-                    rho=float(meter_d.get("rho", 0.0)),
-                    n_points=int(meter_d.get("n_points", DEFAULT_N_POINTS)),
-                    half_width=float(meter_d.get("half_width",
-                                                 DEFAULT_HALF_WIDTH)),
+                    rho=_number(meter_d.get("rho", 0.0), "meter.rho"),
+                    n_points=_number(meter_d.get("n_points",
+                                                 DEFAULT_N_POINTS),
+                                     "meter.n_points", int),
+                    half_width=_number(meter_d.get("half_width",
+                                                   DEFAULT_HALF_WIDTH),
+                                       "meter.half_width"),
                 ),
-                eps_values=tuple(float(e) for e in
+                eps_values=tuple(_number(e, "eps_schedule") for e in
                                  data.get("eps_schedule", DEFAULT_EPS)),
-                rho_values=tuple(float(r) for r in
+                rho_values=tuple(_number(r, "rho_values") for r in
                                  data.get("rho_values", ())),
                 mc=MonteCarloConfig(
-                    n_trials=int(mc_d.get("n_trials", 100_000)),
-                    seed=int(mc_d.get("seed", 1)),
+                    n_trials=_number(mc_d.get("n_trials", 100_000),
+                                     "mc.n_trials", int),
+                    seed=_number(mc_d.get("seed", 1), "mc.seed", int),
                 ),
                 output=OutputConfig(
                     path=out_d.get("path"),
                     format=out_d.get("format", "csv"),
                 ),
-                schema_version=int(data.get("schema_version",
-                                            SCHEMA_VERSION)),
+                schema_version=_number(data.get("schema_version",
+                                                SCHEMA_VERSION),
+                                       "schema_version", int),
             )
         except KeyError as exc:
             raise ConfigError(f"config is missing required key {exc}") from exc
@@ -429,109 +449,8 @@ def _weak_value_fields(setup: WeakSetup, sched: EpsSchedule) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scenarios
-
-
-def run_weak_value(config: ExperimentConfig) -> ResultRow:
-    """Every weak-value notion for one setup, side by side."""
-    setup = config.setup()
-    fields = _weak_value_fields(setup, config.schedule())
-    return ResultRow(scenario="weak-value", rho=config.meter.rho, **fields)
-
-
-def run_sweep_rho(config: ExperimentConfig) -> list:
-    """One weak-value row per rho; the closed form must move affinely."""
-    if not config.rho_values:
-        raise ConfigError("sweep-rho needs a nonempty rho_values list")
-    sched = config.schedule()
-    rows = []
-    for rho in sorted(config.rho_values):
-        setup = config.setup(rho=rho)
-        fields = _weak_value_fields(setup, sched)
-        rows.append(ResultRow(scenario="sweep-rho", rho=rho, **fields))
-    return rows
-
-
-def run_limit_check(config: ExperimentConfig) -> list:
-    """Unconditional meter readings per eps, then the extrapolated limit."""
-    setup = config.setup()
-    sched = config.schedule()
-    target = expectation(setup.A, setup.s)
-    readings = [meter_reading(setup, e) for e in sched.eps_values]
-    rows = [
-        ResultRow(scenario="limit-check", rho=config.meter.rho, eps=e,
-                  wv_numeric=r, wv_closed=target)
-        for e, r in zip(sched.eps_values, readings)
-    ]
-    limit = richardson_limit(sched.eps_values, readings)
-    rows.append(ResultRow(scenario="limit-check", rho=config.meter.rho,
-                          wv_numeric=limit.limit, wv_closed=target))
-    return rows
-
-
-def run_sample(config: ExperimentConfig) -> ResultRow:
-    """Monte Carlo conditional mean at the largest scheduled eps."""
-    setup = config.setup()
-    eps = config.eps_values[0]
-    run = monte_carlo_run(setup, eps, config.mc.n_trials, config.mc.seed)
-    est = run.estimate
-    return ResultRow(
-        scenario="sample",
-        rho=config.meter.rho,
-        eps=eps,
-        mc_mean=_finite_or_none(est.mean),
-        mc_stderr=_finite_or_none(est.std_error),
-        mc_n_success=est.n_success,
-    )
-
-
-def run_disturbance(config: ExperimentConfig) -> list:
-    """How hard the readout kicks the system, across the eps schedule."""
-    setup = config.setup()
-    return [
-        ResultRow(scenario="disturbance", rho=config.meter.rho, eps=e,
-                  disturbance=disturbance(setup, e))
-        for e in config.schedule().eps_values
-    ]
-
-
-def run_aav_grid(config: ExperimentConfig) -> ResultRow:
-    """Weak-value row measured with the Fourier-grid Gaussian meter."""
-    meter = gaussian_grid_meter(config.grid_spec(), config.meter.rho)
-    setup = WeakSetup(config.system_observable(), config.pre_state(),
-                      config.post_state(), meter)
-    fields = _weak_value_fields(setup, config.schedule())
-    return ResultRow(scenario="aav-grid", rho=config.meter.rho, **fields)
-
-
-def run_compare(config: ExperimentConfig) -> ResultRow:
-    """One row contrasting the weak value with the projective conditional.
-
-    The unconditional agreement check and the Monte Carlo confirmations
-    ride along in the scenario summary; the row carries the conditional
-    quantities (weak value columns, projective_cond, and the sampled
-    conditional mean divided by eps).
-    """
-    setup = config.setup()
-    fields = _weak_value_fields(setup, config.schedule())
-    eps = config.eps_values[0]
-    run = monte_carlo_run(setup, eps, config.mc.n_trials, config.mc.seed)
-    est = run.estimate
-    mc_mean = _finite_or_none(est.mean)
-    mc_err = _finite_or_none(est.std_error)
-    return ResultRow(
-        scenario="compare",
-        rho=config.meter.rho,
-        eps=eps,
-        mc_mean=None if mc_mean is None else mc_mean / eps,
-        mc_stderr=None if mc_err is None else mc_err / eps,
-        mc_n_success=est.n_success,
-        **fields,
-    )
-
-
-# ---------------------------------------------------------------------------
-# summaries (JSON reports only)
+# scenarios: each builds its setup once and returns (rows, summary); the
+# summary goes into JSON reports only
 
 
 def _clean(obj):
@@ -545,59 +464,91 @@ def _clean(obj):
     return obj
 
 
-def _summary_weak_value(config, rows):
-    row = rows[0]
-    return {
+def run_weak_value(config: ExperimentConfig):
+    """Every weak-value notion for one setup, side by side."""
+    setup = config.setup()
+    row = ResultRow(scenario="weak-value", rho=config.meter.rho,
+                    **_weak_value_fields(setup, config.schedule()))
+    return [row], {
         "closed_minus_numeric": None
         if row.wv_numeric is None or row.wv_closed is None
         else row.wv_closed - row.wv_numeric,
-        "rho_effective": coupling_moment(config.meter_spec()).real,
+        "rho_effective": coupling_moment(setup.meter).real,
     }
 
 
-def _summary_sweep_rho(config, rows):
+def run_sweep_rho(config: ExperimentConfig):
+    """One weak-value row per rho; the closed form must move affinely."""
+    if not config.rho_values:
+        raise ConfigError("sweep-rho needs a nonempty rho_values list")
+    rhos = sorted(config.rho_values)
+    sched = config.schedule()
+    base = config.setup(rho=rhos[0])
+    setups = [base] + [replace(base, meter=config.meter_spec(rho))
+                       for rho in rhos[1:]]
+    rows = [ResultRow(scenario="sweep-rho", rho=rho,
+                      **_weak_value_fields(setup, sched))
+            for rho, setup in zip(rhos, setups)]
+    ratio = aav_complex_weak_value(base.A, base.s, base.f)
+    summary = {"aav_imag": ratio.imag, "expected_slope": 2.0 * ratio.imag}
     pairs = [(r.rho, r.wv_closed) for r in rows if r.wv_closed is not None]
-    ratio = aav_complex_weak_value(config.system_observable(),
-                                   config.pre_state(), config.post_state())
-    out = {"aav_imag": ratio.imag, "expected_slope": 2.0 * ratio.imag}
     if len(pairs) >= 2:
         slope, intercept = np.polyfit([p[0] for p in pairs],
                                       [p[1] for p in pairs], 1)
-        out.update(fitted_slope=float(slope),
-                   fitted_intercept=float(intercept),
-                   slope_residual=float(slope - 2.0 * ratio.imag))
-    return out
+        summary.update(fitted_slope=float(slope),
+                       fitted_intercept=float(intercept),
+                       slope_residual=float(slope - 2.0 * ratio.imag))
+    return rows, summary
 
 
-def _summary_limit_check(config, rows):
-    per_eps = [r for r in rows if r.eps is not None]
-    final = rows[-1]
-    target = final.wv_closed
-    errs = [abs(r.wv_numeric - target) for r in per_eps]
-    orders = []
-    for (e1, d1), (e2, d2) in zip(
-            [(r.eps, d) for r, d in zip(per_eps, errs)],
-            [(r.eps, d) for r, d in zip(per_eps[1:], errs[1:])]):
-        if d1 > 1e-13 and d2 > 1e-13:
-            orders.append(math.log(d1 / d2) / math.log(e1 / e2))
-    return {
+def run_limit_check(config: ExperimentConfig):
+    """Unconditional meter readings per eps, then the extrapolated limit."""
+    setup = config.setup()
+    eps_values = config.schedule().eps_values
+    target = expectation(setup.A, setup.s)
+    readings = [meter_reading(setup, e) for e in eps_values]
+    limit = richardson_limit(eps_values, readings).limit
+    rows = [
+        ResultRow(scenario="limit-check", rho=config.meter.rho, eps=e,
+                  wv_numeric=r, wv_closed=target)
+        for e, r in zip(eps_values, readings)
+    ]
+    rows.append(ResultRow(scenario="limit-check", rho=config.meter.rho,
+                          wv_numeric=limit, wv_closed=target))
+    errs = [abs(r - target) for r in readings]
+    orders = [math.log(d1 / d2) / math.log(e1 / e2)
+              for e1, e2, d1, d2 in zip(eps_values, eps_values[1:],
+                                        errs, errs[1:])
+              if d1 > 1e-13 and d2 > 1e-13]
+    return rows, {
         "analytic_average": target,
-        "extrapolated_limit": final.wv_numeric,
-        "abs_error": abs(final.wv_numeric - target),
+        "extrapolated_limit": limit,
+        "abs_error": abs(limit - target),
         "per_eps_abs_error": errs,
         "empirical_order": (sum(orders) / len(orders)) if orders else None,
     }
 
 
-def _summary_sample(config, rows):
+def run_sample(config: ExperimentConfig):
+    """Monte Carlo conditional mean at the largest scheduled eps, against
+    the exact conditional mean."""
     setup = config.setup()
-    eps = rows[0].eps
+    eps = config.eps_values[0]
+    est = monte_carlo_run(setup, eps, config.mc.n_trials,
+                          config.mc.seed).estimate
     table = exact_outcome_distribution(setup, eps)
-    row = rows[0]
+    row = ResultRow(
+        scenario="sample",
+        rho=config.meter.rho,
+        eps=eps,
+        mc_mean=_finite_or_none(est.mean),
+        mc_stderr=_finite_or_none(est.std_error),
+        mc_n_success=est.n_success,
+    )
     z = None
     if row.mc_mean is not None and row.mc_stderr not in (None, 0.0):
         z = (row.mc_mean - table.conditional_mean) / row.mc_stderr
-    return {
+    return [row], {
         "exact_conditional_mean": table.conditional_mean,
         "exact_success_prob": table.total_success_prob,
         "z_score": z,
@@ -606,35 +557,46 @@ def _summary_sample(config, rows):
     }
 
 
-def _summary_disturbance(config, rows):
+def run_disturbance(config: ExperimentConfig):
+    """How hard the readout kicks the system, across the eps schedule."""
+    setup = config.setup()
+    rows = [
+        ResultRow(scenario="disturbance", rho=config.meter.rho, eps=e,
+                  disturbance=disturbance(setup, e))
+        for e in config.schedule().eps_values
+    ]
     slopes = [r.disturbance / r.eps for r in rows]
     ratios = [b / a for a, b in zip(slopes, slopes[1:]) if a > 0]
-    return {
+    return rows, {
         "slopes": slopes,
         "successive_slope_ratios": ratios,
         "max_slope": max(slopes),
     }
 
 
-def _summary_aav_grid(config, rows):
+def run_aav_grid(config: ExperimentConfig):
+    """Weak-value row measured with the Fourier-grid Gaussian meter, with
+    the meter's calibration and its agreement with the qubit meter."""
     grid = config.grid_spec()
     rho = config.meter.rho
     meter = gaussian_grid_meter(grid, rho)
+    setup = WeakSetup(config.system_observable(), config.pre_state(),
+                      config.post_state(), meter)
+    row = ResultRow(scenario="aav-grid", rho=rho,
+                    **_weak_value_fields(setup, config.schedule()))
     m = meter.m.amps
-    read = complex(np.vdot(m, meter.B.entries @ m))
+    q = meter.B.entries                  # B = Q, G = P + rho Q
+    p = meter.G.entries - rho * q
+    read = complex(np.vdot(m, q @ m))
     mom = coupling_moment(meter)
-    q = position_operator(grid).entries
-    p = momentum_operator(grid).entries
     conj_chirp = chirped_gaussian_state(grid, -rho).amps
     chirp_mom = complex(np.vdot(conj_chirp, q @ (p @ conj_chirp)))
-    qubit_setup = WeakSetup(config.system_observable(), config.pre_state(),
-                            config.post_state(), qubit_meter(rho))
     try:
-        qubit_closed = weak_value_closed_form(qubit_setup)
+        qubit_closed = weak_value_closed_form(
+            replace(setup, meter=qubit_meter(rho)))
     except UndefinedWeakValueError:
         qubit_closed = None
-    row = rows[0]
-    return {
+    return [row], {
         "initial_reading_abs": abs(read),
         "coupling_moment": [mom.real, mom.imag],
         "coupling_moment_error": abs(mom - complex(rho, 0.5)),
@@ -646,14 +608,33 @@ def _summary_aav_grid(config, rows):
     }
 
 
-def _summary_compare(config, rows):
+def run_compare(config: ExperimentConfig):
+    """One row contrasting the weak value with the projective conditional.
+
+    The row carries the conditional quantities (weak value columns,
+    projective_cond, and the sampled conditional mean divided by eps).
+    The summary adds the unconditional agreement check, read off the same
+    Monte Carlo run, and a sampled projective measurement.
+    """
     setup = config.setup()
     sched = config.schedule()
-    analytic = expectation(setup.A, setup.s)
-    samples = [meter_reading(setup, e) for e in sched.eps_values]
-    uncond = richardson_limit(sched.eps_values, samples).limit
+    fields = _weak_value_fields(setup, sched)
     eps = config.eps_values[0]
     run = monte_carlo_run(setup, eps, config.mc.n_trials, config.mc.seed)
+    est = run.estimate
+    mc_mean = _finite_or_none(est.mean)
+    mc_err = _finite_or_none(est.std_error)
+    row = ResultRow(
+        scenario="compare",
+        rho=config.meter.rho,
+        eps=eps,
+        mc_mean=None if mc_mean is None else mc_mean / eps,
+        mc_stderr=None if mc_err is None else mc_err / eps,
+        mc_n_success=est.n_success,
+        **fields,
+    )
+    analytic = expectation(setup.A, setup.s)
+    uncond = unconditional_limit(setup, sched)
     counts = run.counts.sum(axis=1)
     n = counts.sum()
     b = np.asarray(run.b_values)
@@ -662,8 +643,7 @@ def _summary_compare(config, rows):
     mc_uncond_err = math.sqrt(max(var, 0.0) * n / max(n - 1, 1)) / math.sqrt(n)
     proj = projective_A_oracle(setup.A, setup.s, setup.f,
                                config.mc.n_trials, config.mc.seed)
-    row = rows[0]
-    return {
+    return [row], {
         "unconditional": {
             "meter_limit": uncond,
             "analytic_average": analytic,
@@ -684,22 +664,20 @@ def _summary_compare(config, rows):
 
 
 _RUNNERS = {
-    "weak-value": (run_weak_value, _summary_weak_value),
-    "sweep-rho": (run_sweep_rho, _summary_sweep_rho),
-    "limit-check": (run_limit_check, _summary_limit_check),
-    "sample": (run_sample, _summary_sample),
-    "disturbance": (run_disturbance, _summary_disturbance),
-    "aav-grid": (run_aav_grid, _summary_aav_grid),
-    "compare": (run_compare, _summary_compare),
+    "weak-value": run_weak_value,
+    "sweep-rho": run_sweep_rho,
+    "limit-check": run_limit_check,
+    "sample": run_sample,
+    "disturbance": run_disturbance,
+    "aav-grid": run_aav_grid,
+    "compare": run_compare,
 }
 
 
 def run_scenario(config: ExperimentConfig):
-    """Dispatch to the scenario runner; returns (rows, summary)."""
-    runner, summarize = _RUNNERS[config.scenario]
-    result = runner(config)
-    rows = result if isinstance(result, list) else [result]
-    return rows, _clean(summarize(config, rows))
+    """Run the config's scenario; returns (rows, summary)."""
+    rows, summary = _RUNNERS[config.scenario](config)
+    return rows, _clean(summary)
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +704,6 @@ def render_csv(rows) -> str:
 def render_json(config, rows, summary) -> str:
     report = {
         "schema_version": SCHEMA_VERSION,
-        "generated_at": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"),
         "config": config.to_dict(),
         "rows": [_clean(row.as_dict()) for row in rows],
         "summary": summary,

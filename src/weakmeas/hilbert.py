@@ -11,7 +11,7 @@ partial trace over the meter is a contiguous block sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +53,8 @@ class StateVector:
 
     def __init__(self, amps):
         a = _as_complex_vector(amps)
+        if not np.isfinite(a).all():
+            raise ValueError("state vector has non-finite amplitudes")
         n = float(np.linalg.norm(a))
         if n < _ZERO_NORM:
             raise ValueError("cannot normalize a numerically zero vector")
@@ -99,6 +101,8 @@ class Observable:
         m = np.array(entries, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("observable has non-finite entries")
         scale = float(np.max(np.abs(m))) if m.size else 0.0
         defect = float(np.max(np.abs(m - m.conj().T)))
         if defect > HERM_RTOL * scale and defect > 0.0:
@@ -134,45 +138,37 @@ class Observable:
 class SpectralDecomposition:
     """Eigen-system of a Hermitian operator.
 
-    ``eigenvalues`` ascend; ``eigenvectors[j]`` matches ``eigenvalues[j]``.
-    ``groups`` partitions the indices into eigenspaces: eigenvalues within
-    one group agree to ``DEGEN_RTOL`` relative to the spectral radius.
+    ``eigenvalues`` ascend and column ``eigenvectors[:, j]`` belongs to
+    ``eigenvalues[j]``. Each eigenspace is a contiguous index range, and
+    ``group_starts`` holds the first index of each one; eigenvalues within
+    one eigenspace agree to ``DEGEN_RTOL`` relative to the spectral radius.
     """
 
-    eigenvalues: tuple
-    eigenvectors: tuple          # of StateVector
-    groups: tuple                # of tuples of indices
-    _vmat: np.ndarray = field(repr=False)   # columns = eigenvectors
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    group_starts: np.ndarray
 
-    def group_eigenvalue(self, gi: int) -> float:
-        """Representative eigenvalue of group gi (mean over the group)."""
-        idx = self.groups[gi]
-        return float(np.mean([self.eigenvalues[i] for i in idx]))
+    def group_sum(self, x: np.ndarray) -> np.ndarray:
+        """Sum x over each eigenspace; its last axis runs over eigenvectors."""
+        return np.add.reduceat(x, self.group_starts, axis=-1)
 
-    def group_projector(self, gi: int) -> np.ndarray:
-        """Orthogonal projector onto the gi-th eigenspace, as a matrix."""
-        v = self._vmat[:, list(self.groups[gi])]
-        return v @ v.conj().T
-
-    def project_group(self, gi: int, amps: np.ndarray) -> np.ndarray:
-        """Apply the gi-th eigenspace projector without forming the matrix."""
-        v = self._vmat[:, list(self.groups[gi])]
-        return v @ (v.conj().T @ amps)
+    @property
+    def group_values(self) -> np.ndarray:
+        """Representative eigenvalue of each eigenspace (the group mean)."""
+        sizes = np.diff(self.group_starts, append=self.eigenvalues.size)
+        return self.group_sum(self.eigenvalues) / sizes
 
 
-def _group_indices(eigenvalues: np.ndarray) -> tuple:
+def _group_starts(eigenvalues: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
     tol = DEGEN_RTOL * scale
-    groups = []
-    start = 0
+    starts = [0]
     for i in range(1, eigenvalues.size):
         # anchor at the group's first eigenvalue so roundoff cannot chain
         # distinct eigenvalues into one group
-        if eigenvalues[i] - eigenvalues[start] > tol:
-            groups.append(tuple(range(start, i)))
-            start = i
-    groups.append(tuple(range(start, eigenvalues.size)))
-    return tuple(groups)
+        if eigenvalues[i] - eigenvalues[starts[-1]] > tol:
+            starts.append(i)
+    return np.array(starts)
 
 
 def eig_hermitian(a: Observable) -> SpectralDecomposition:
@@ -180,13 +176,10 @@ def eig_hermitian(a: Observable) -> SpectralDecomposition:
     if a._decomp is not None:
         return a._decomp
     w, v = np.linalg.eigh(a.entries)
+    w.setflags(write=False)
     v.setflags(write=False)
-    dec = SpectralDecomposition(
-        eigenvalues=tuple(float(x) for x in w),
-        eigenvectors=tuple(StateVector.raw(v[:, j]) for j in range(v.shape[1])),
-        groups=_group_indices(w),
-        _vmat=v,
-    )
+    dec = SpectralDecomposition(eigenvalues=w, eigenvectors=v,
+                                group_starts=_group_starts(w))
     object.__setattr__(a, "_decomp", dec)
     return dec
 
@@ -249,10 +242,9 @@ def evolve(h: Observable, eps: float, v: StateVector) -> StateVector:
             f"operator dim {h.dim} != state dim {v.dim}"
         )
     dec = eig_hermitian(h)
-    w = np.asarray(dec.eigenvalues)
-    vm = dec._vmat
+    vm = dec.eigenvectors
     coeff = vm.conj().T @ v.amps
-    return StateVector.raw(vm @ (np.exp(-1j * eps * w) * coeff))
+    return StateVector.raw(vm @ (np.exp(-1j * eps * dec.eigenvalues) * coeff))
 
 
 def evolve_coupling(a: Observable, g: Observable, eps: float,
@@ -274,12 +266,9 @@ def evolve_coupling(a: Observable, g: Observable, eps: float,
     dg = eig_hermitian(g)
     r = v.amps.reshape(ds, dm)
     # into the joint eigenbasis: rows via A's frame, columns via G's
-    c = da._vmat.conj().T @ r @ dg._vmat.conj()
-    phases = np.exp(
-        -1j * eps * np.outer(np.asarray(da.eigenvalues),
-                             np.asarray(dg.eigenvalues))
-    )
-    out = da._vmat @ (phases * c) @ dg._vmat.T
+    c = da.eigenvectors.conj().T @ r @ dg.eigenvectors.conj()
+    phases = np.exp(-1j * eps * np.outer(da.eigenvalues, dg.eigenvalues))
+    out = da.eigenvectors @ (phases * c) @ dg.eigenvectors.T
     return StateVector.raw(out.reshape(-1))
 
 

@@ -26,6 +26,7 @@ from .protocol import (
     EmptyPostselectionError,
     WeakSetup,
     coupled_state,
+    projective_tables,
 )
 
 
@@ -89,26 +90,23 @@ class MonteCarloRun:
 
 
 def _branch_tables(setup: WeakSetup, eps: float):
-    """Per-eigenspace tables: eigenvalue, marginal prob, joint success prob."""
+    """Per-eigenspace tables: eigenvalue, marginal prob, joint success prob.
+
+    Column j of C = blocks V* holds the branch amplitudes along B's j-th
+    eigenvector, one per system index, and f^dagger C their postselected
+    components; each probability is a group sum of squared moduli.
+    """
     if eps <= 0:
         raise ValueError("outcome statistics require eps > 0")
     r = coupled_state(setup, eps)
     blocks = r.amps.reshape(setup.dim_s, setup.meter.dim_m)
     dec = eig_hermitian(setup.meter.B)
-    n_groups = len(dec.groups)
-    b_vals = np.empty(n_groups)
-    marginal = np.empty(n_groups)
-    joint = np.empty(n_groups)
-    f_conj = setup.f.amps.conj()
-    for gi in range(n_groups):
-        cols = list(dec.groups[gi])
-        vg = dec._vmat[:, cols]
-        branch = blocks @ vg.conj()          # eigenspace coordinates
-        b_vals[gi] = dec.group_eigenvalue(gi)
-        marginal[gi] = np.vdot(branch, branch).real
-        w = f_conj @ branch                  # postselected meter component
-        joint[gi] = np.vdot(w, w).real
-    return b_vals, marginal, joint
+    # conjugate the small blocks, not the n x n eigenvector matrix
+    c = (blocks.conj() @ dec.eigenvectors).conj()
+    w = setup.f.amps.conj() @ c
+    marginal = dec.group_sum((np.abs(c) ** 2).sum(axis=0))
+    joint = dec.group_sum(np.abs(w) ** 2)
+    return dec.group_values, marginal, joint
 
 
 def exact_outcome_distribution(setup: WeakSetup, eps: float) -> OutcomeTable:
@@ -169,10 +167,9 @@ def _two_stage_counts(b_vals, marginal, joint, n_trials, seed, trial_offset):
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(marginal > 0, joint / np.maximum(marginal, 1e-300), 0.0)
     ok = u[:, 1] < cond[gi]
-    counts = np.zeros((len(b_vals), 2), dtype=np.int64)
-    np.add.at(counts[:, 0], gi[ok], 1)
-    np.add.at(counts[:, 1], gi[~ok], 1)
-    return counts, b_vals[gi[ok]]
+    # cell 2 * gi holds the successes of branch gi, the next its failures
+    counts = np.bincount(2 * gi + ~ok, minlength=2 * len(b_vals))
+    return counts.reshape(-1, 2), b_vals[gi[ok]]
 
 
 def _estimate(values: np.ndarray, n_trials: int, seed: int) -> EstimateWithError:
@@ -224,18 +221,6 @@ def projective_A_oracle(a: Observable, s: StateVector, f: StateVector,
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    if a.dim != s.dim or a.dim != f.dim:
-        raise ValueError(f"dims disagree: A={a.dim}, s={s.dim}, f={f.dim}")
-    dec = eig_hermitian(a)
-    n_groups = len(dec.groups)
-    b_vals = np.empty(n_groups)
-    marginal = np.empty(n_groups)
-    joint = np.empty(n_groups)
-    for gi in range(n_groups):
-        proj = dec.project_group(gi, s.amps)
-        b_vals[gi] = dec.group_eigenvalue(gi)
-        marginal[gi] = np.vdot(proj, proj).real
-        joint[gi] = abs(complex(np.vdot(f.amps, proj))) ** 2
-    counts, successes = _two_stage_counts(
-        b_vals, marginal, joint, n_trials, seed, trial_offset)
+    _, successes = _two_stage_counts(
+        *projective_tables(a, s, f), n_trials, seed, trial_offset)
     return _estimate(successes, n_trials, seed)

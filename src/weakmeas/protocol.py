@@ -340,6 +340,27 @@ def weak_value_closed_form(setup: WeakSetup) -> float:
     return 2.0 * (ratio * coupling_moment(setup.meter)).imag
 
 
+def projective_tables(a: Observable, s: StateVector, f: StateVector):
+    """Per-eigenspace tables of a projective A measurement on s.
+
+    Returns the eigenvalue of each eigenspace, its Born probability
+    |P_i s|^2, and the joint probability |<f, P_i s>|^2 of collapsing
+    onto it and then passing the postselection. In A's eigenbasis both
+    are group sums over the coordinates V^dagger s and V^dagger f.
+    """
+    if a.dim != s.dim or a.dim != f.dim:
+        raise DimensionMismatchError(
+            f"dims disagree: A={a.dim}, s={s.dim}, f={f.dim}"
+        )
+    dec = eig_hermitian(a)
+    vh = dec.eigenvectors.conj().T
+    cs = vh @ s.amps
+    cf = vh @ f.amps
+    marginal = dec.group_sum(np.abs(cs) ** 2)
+    joint = np.abs(dec.group_sum(cf.conj() * cs)) ** 2
+    return dec.group_values, marginal, joint
+
+
 def projective_conditional_expectation(a: Observable, s: StateVector,
                                        f: StateVector) -> float:
     """Conditional mean of a projective A measurement given postselection.
@@ -349,52 +370,28 @@ def projective_conditional_expectation(a: Observable, s: StateVector,
     a convex combination of A's eigenvalues: it always lies inside the
     spectrum, unlike the weak values above.
     """
-    if a.dim != s.dim or a.dim != f.dim:
-        raise DimensionMismatchError(
-            f"dims disagree: A={a.dim}, s={s.dim}, f={f.dim}"
-        )
-    dec = eig_hermitian(a)
-    total = 0.0
-    acc = 0.0
-    for gi in range(len(dec.groups)):
-        proj = dec.project_group(gi, s.amps)
-        weight = abs(complex(np.vdot(f.amps, proj))) ** 2
-        total += weight
-        acc += dec.group_eigenvalue(gi) * weight
+    values, _, joint = projective_tables(a, s, f)
+    total = float(joint.sum())
     if total <= EMPTY_PROB:
         raise EmptyPostselectionError(
             f"total postselection probability {total:.3e} is numerically zero"
         )
-    return acc / total
+    return float((values * joint).sum()) / total
 
 
 def disturbance(setup: WeakSetup, eps: float) -> float:
     """How far one full meter readout kicks the system away from s.
 
-    Simulates the measurement branch by branch: project r(eps) onto each
-    eigenspace of I (x) B, normalize, take the partial trace over the
-    meter, and mix the branches with their Born weights. Returns the
-    trace distance between that post-measurement system state and P_s.
+    Reading out I (x) B and mixing the branches with their Born weights
+    leaves the system in sum_Q tr_M[(I (x) P_Q) r r^dagger (I (x) P_Q)].
+    The eigenspace projectors P_Q of B resolve the identity, so this is
+    tr_M |r><r| whatever B is: the readout basis drops out. Returns the
+    trace distance between that state and P_s.
     """
     r = coupled_state(setup, eps)
-    ds, dm = setup.dim_s, setup.meter.dim_m
-    blocks = r.amps.reshape(ds, dm)
-    dec = eig_hermitian(setup.meter.B)
-    post = np.zeros((ds, ds), dtype=complex)
-    for gi in range(len(dec.groups)):
-        cols = list(dec.groups[gi])
-        vg = dec._vmat[:, cols]
-        # (I (x) P_Q) r, kept in the eigenspace coordinates of the branch
-        branch = blocks @ vg.conj()
-        weight = float(np.vdot(branch, branch).real)
-        if weight <= EMPTY_PROB:
-            continue
-        # tr_M of the normalized branch state; the eigenspace frame
-        # cancels inside the trace
-        sigma = (branch @ branch.conj().T) / weight
-        post += weight * sigma
-    initial = DensityMatrix.from_state(setup.s)
-    return trace_distance(DensityMatrix(post), initial)
+    blocks = r.amps.reshape(setup.dim_s, setup.meter.dim_m)
+    post = DensityMatrix(blocks @ blocks.conj().T)
+    return trace_distance(post, DensityMatrix.from_state(setup.s))
 
 
 def weak_value_report(setup: WeakSetup,

@@ -119,6 +119,44 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="preset"):
             preset("nope")
 
+    @pytest.mark.parametrize("field", ["rho", "half_width"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_meter_values(self, field, bad):
+        with pytest.raises(ConfigError, match=field):
+            MeterConfig(**{field: bad})
+
+    def test_json_infinity_rejected(self):
+        # json.load accepts the non-standard Infinity and NaN tokens
+        data = json.loads(json.dumps(preset("aav100").to_dict())
+                          .replace('"rho": 0.0', '"rho": Infinity'))
+        with pytest.raises(ConfigError, match="rho"):
+            ExperimentConfig.from_dict(data)
+
+    def test_non_finite_system_entry_rejected(self):
+        data = preset("aav100").to_dict()
+        data["system"]["A"][0][0] = [math.nan, 0.0]
+        with pytest.raises(ValueError, match="non-finite"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("section, key", [("mc", "n_trials"),
+                                              ("mc", "seed"),
+                                              ("meter", "rho"),
+                                              ("meter", "n_points")])
+    def test_boolean_numbers_rejected(self, section, key):
+        data = preset("aav100").to_dict()
+        data[section][key] = True
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(data)
+
+    def test_boolean_state_rejected(self):
+        data = preset("aav100").to_dict()
+        data["system"]["s"] = [True, False]
+        with pytest.raises(ConfigError, match="number"):
+            ExperimentConfig.from_dict(data)
+        data["system"]["s"] = [[1, 0], [True, 0]]
+        with pytest.raises(ConfigError, match="number"):
+            ExperimentConfig.from_dict(data)
+
 
 class TestPresets:
     def test_nonunique_rho50_shape(self):
@@ -396,11 +434,13 @@ class TestMainEntry:
             == report["rows"][0]["wv_numeric"]
 
     def test_identical_invocations_are_bit_identical(self, capsys):
-        outs = []
-        for _ in range(2):
-            assert main(["compare", "--preset", "convexity-contrast"]) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
+        for fmt in ("csv", "json"):
+            outs = []
+            for _ in range(2):
+                assert main(["compare", "--preset", "convexity-contrast",
+                             "--format", fmt]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1], fmt
 
     def test_exit_2_on_bad_inputs(self, tmp_path, capsys):
         cases = []
@@ -410,6 +450,7 @@ class TestMainEntry:
         cases.append(["weak-value", "--config", str(tmp_path / "none.json")])
         cases.append(["limit-check", "--preset", "aav100", "--eps", "0.01"])
         cases.append(["weak-value", "--preset", "nope"])
+        cases.append(["weak-value", "--preset", "aav100", "--rho", "inf"])
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         cases.append(["weak-value", "--config", str(bad)])

@@ -16,13 +16,17 @@ from weakmeas.oracle import (
     projective_A_oracle,
     sample_run,
 )
-from weakmeas.oracle import _philox_generator
+from weakmeas.oracle import _branch_tables, _philox_generator
 from weakmeas.protocol import (
     EmptyPostselectionError,
+    MeterSpec,
     WeakSetup,
     conditional_expectation,
     projective_conditional_expectation,
+    projective_tables,
 )
+
+import reference
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -94,6 +98,42 @@ class TestExactDistribution:
         setup = WeakSetup(Observable(SZ), E1, E2, qubit_meter(0.0))
         with pytest.raises(EmptyPostselectionError):
             exact_outcome_distribution(setup, 1e-2)
+
+
+def degenerate_observable(rng, spectrum):
+    n = len(spectrum)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return Observable(q @ np.diag(spectrum) @ q.conj().T)
+
+
+class TestBranchTables:
+    """Group sums against the eigenspace-by-eigenspace loop; they add the
+    same terms in another order, so they agree to a few ulps."""
+
+    def test_degenerate_meter_readout(self):
+        rng = np.random.default_rng(321)
+        for _ in range(5):
+            meter = MeterSpec(dim_m=4, m=random_state(rng, 4),
+                              B=degenerate_observable(rng, [-1, -1, 2, 2]),
+                              G=random_hermitian(rng, 4))
+            setup = WeakSetup(random_hermitian(rng, 3), random_state(rng, 3),
+                              random_state(rng, 3), meter)
+            got = _branch_tables(setup, 0.05)
+            want = reference.branch_tables(setup, 0.05)
+            assert len(got[0]) == 2
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
+
+    def test_degenerate_projective_measurement(self):
+        rng = np.random.default_rng(322)
+        for _ in range(5):
+            a = degenerate_observable(rng, [2.0, 2.0, 5.0, 7.0, 7.0])
+            s, f = random_state(rng, 5), random_state(rng, 5)
+            got = projective_tables(a, s, f)
+            want = reference.projective_tables(a, s, f)
+            assert len(got[0]) == 3
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
 
 
 class TestSampleRun:
@@ -212,7 +252,7 @@ class TestProjectiveOracle:
         a = random_hermitian(rng, 3)
         dec = eig_hermitian(a)
         s = random_state(rng, 3)
-        f = StateVector(dec.eigenvectors[2].amps)
+        f = StateVector(dec.eigenvectors[:, 2])
         est = projective_A_oracle(a, s, f, 5000, seed=404)
         assert est.n_success > 0
         assert est.mean == pytest.approx(dec.eigenvalues[2], abs=1e-9)

@@ -14,7 +14,7 @@ from weakmeas.hilbert import (
     tensor_state,
     trace_distance,
 )
-from weakmeas.meters import qubit_meter
+from weakmeas.meters import GridSpec, gaussian_grid_meter, qubit_meter
 from weakmeas.protocol import (
     DEFAULT_EPS,
     CalibrationError,
@@ -41,6 +41,8 @@ from weakmeas.protocol import (
     weak_value_numeric,
     weak_value_report,
 )
+
+import reference
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -388,7 +390,7 @@ class TestTraditionalWeakValue:
         a = random_hermitian(rng, 3)
         dec = eig_hermitian(a)
         s = random_state(rng, 3)
-        f = StateVector(dec.eigenvectors[1].amps)
+        f = StateVector(dec.eigenvectors[:, 1])
         got = traditional_weak_value(a, s, f)
         assert got == pytest.approx(dec.eigenvalues[1], abs=1e-10)
 
@@ -403,7 +405,7 @@ class TestTraditionalWeakValue:
 class TestProjectiveConditional:
     def test_eigenvector_postselection(self):
         dec = eig_hermitian(Observable(SX))
-        f = StateVector(dec.eigenvectors[1].amps)
+        f = StateVector(dec.eigenvectors[:, 1])
         got = projective_conditional_expectation(Observable(SX), CIRC, f)
         assert got == pytest.approx(dec.eigenvalues[1], abs=1e-12)
 
@@ -485,6 +487,32 @@ class TestDisturbance:
         rho_s = partial_trace_meter(DensityMatrix.from_state(r), 3, 2)
         want = trace_distance(rho_s, DensityMatrix.from_state(setup.s))
         assert disturbance(setup, eps) == pytest.approx(want, abs=1e-12)
+
+    # Both forms carry about 1e-16 of absolute roundoff, so they are
+    # compared where the disturbance is at least about 1e-6.
+    AGREE_EPS = (1e-2, 5e-3, 2.5e-3)
+
+    def test_matches_branch_by_branch_readout_on_qubits(self):
+        rng = np.random.default_rng(155)
+        for _ in range(20):
+            setup = random_setup(rng, int(rng.integers(2, 5)),
+                                 rho=rng.uniform(-50, 50))
+            for eps in self.AGREE_EPS:
+                want = reference.branch_disturbance(setup, eps)
+                assert disturbance(setup, eps) == pytest.approx(want,
+                                                                rel=1e-9)
+
+    def test_matches_branch_by_branch_readout_on_grid(self):
+        rng = np.random.default_rng(156)
+        grid = GridSpec(256, 12.0)
+        for rho in (-20.0, 3.0):
+            setup = WeakSetup(random_hermitian(rng, 2), random_state(rng, 2),
+                              random_state(rng, 2),
+                              gaussian_grid_meter(grid, rho))
+            for eps in self.AGREE_EPS:
+                want = reference.branch_disturbance(setup, eps)
+                assert disturbance(setup, eps) == pytest.approx(want,
+                                                                rel=1e-9)
 
 
 class TestWeakValueReport:
