@@ -15,12 +15,11 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .hilbert import (
-    DimensionMismatchError,
     HermiticityError,
     Observable,
     StateVector,
@@ -37,21 +36,19 @@ from .meters import (
 from .oracle import exact_outcome_distribution, monte_carlo_run, projective_A_oracle
 from .protocol import (
     DEFAULT_EPS,
-    CalibrationError,
-    EmptyPostselectionError,
     EpsSchedule,
     MeterSpec,
     UndefinedWeakValueError,
     WeakSetup,
+    _projective_or_none,
     aav_complex_weak_value,
     coupling_moment,
     disturbance,
     meter_reading,
-    projective_conditional_expectation,
     richardson_limit,
     unconditional_limit,
     weak_value_closed_form,
-    weak_value_extrapolation,
+    weak_value_report,
 )
 
 SCENARIOS = ("weak-value", "sweep-rho", "limit-check", "sample",
@@ -61,11 +58,6 @@ SCHEMA_VERSION = 1
 
 STATUS_OK = "ok"
 STATUS_UNDEFINED = "undefined (<f,s> ~ 0)"
-
-CSV_COLUMNS = ("scenario", "rho", "eps", "wv_numeric", "wv_closed",
-               "wv_traditional", "wv_aav_re", "wv_aav_im", "projective_cond",
-               "mc_mean", "mc_stderr", "mc_n_success", "disturbance",
-               "status")
 
 
 class ConfigError(ValueError):
@@ -89,25 +81,37 @@ def _number(x, key: str, kind=float):
     return kind(x)
 
 
-def _decode_scalar(x) -> complex:
-    """A config number is either a plain real or an [re, im] pair."""
+def _numbers(x, key: str) -> tuple:
+    if not isinstance(x, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {x!r}")
+    return tuple(_number(e, key) for e in x)
+
+
+def _object(x, key: str) -> dict:
+    if not isinstance(x, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {x!r}")
+    return x
+
+
+def _decode_pair(x) -> tuple:
+    """A config number is either a plain real or an [re, im] pair;
+    returns the (re, im) floats."""
     if _is_number(x):
-        return complex(float(x), 0.0)
+        return (float(x), 0.0)
     if (isinstance(x, (list, tuple)) and len(x) == 2
             and all(_is_number(p) for p in x)):
-        return complex(float(x[0]), float(x[1]))
+        return (float(x[0]), float(x[1]))
     raise ConfigError(f"expected a number or [re, im] pair, got {x!r}")
 
 
-def _encode_scalar(z: complex):
-    return [z.real, z.imag]
+def _encode_pair(z) -> list:
+    return [float(z[0]), float(z[1])]
 
 
 def _canonical_vector(raw) -> tuple:
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError("state literal must be a nonempty list")
-    return tuple((_decode_scalar(x).real, _decode_scalar(x).imag)
-                 for x in raw)
+    return tuple(_decode_pair(x) for x in raw)
 
 
 def _canonical_matrix(raw) -> tuple:
@@ -117,18 +121,21 @@ def _canonical_matrix(raw) -> tuple:
     for row in raw:
         if not isinstance(row, (list, tuple)) or len(row) != len(raw):
             raise ConfigError("matrix literal must be square, row-major")
-        rows.append(tuple((_decode_scalar(x).real, _decode_scalar(x).imag)
-                          for x in row))
+        rows.append(tuple(_decode_pair(x) for x in row))
     return tuple(rows)
 
 
-def _vector_amps(canonical) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in canonical])
+def _complex_array(pairs) -> np.ndarray:
+    """The complex array of a canonical (re, im) vector or matrix."""
+    return np.array(pairs, dtype=float).view(np.complex128)[..., 0]
 
 
-def _matrix_entries(canonical) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row]
-                     for row in canonical])
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -166,6 +173,10 @@ class OutputConfig:
     format: str = "csv"
 
     def __post_init__(self):
+        # an integer path would reach open() as a file descriptor
+        if self.path is not None and not isinstance(self.path, str):
+            raise ConfigError(f"output path must be a string or null, "
+                              f"got {self.path!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, "
                               f"got {self.format!r}")
@@ -177,7 +188,8 @@ class ExperimentConfig:
 
     Complex entries are stored as (re, im) float pairs; matrices are
     row-major. Loading validates Hermiticity and dimensional consistency
-    immediately, so a config that parses is a config that runs.
+    immediately and keeps the validated system observable and states as
+    ``A``, ``s`` and ``f``, so a config that parses is a config that runs.
     """
 
     scenario: str
@@ -190,6 +202,9 @@ class ExperimentConfig:
     mc: MonteCarloConfig = MonteCarloConfig()
     output: OutputConfig = OutputConfig()
     schema_version: int = SCHEMA_VERSION
+    A: Observable = field(init=False, repr=False, compare=False)
+    s: StateVector = field(init=False, repr=False, compare=False)
+    f: StateVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
@@ -200,8 +215,12 @@ class ExperimentConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"choose one of {', '.join(SCENARIOS)}")
-        a = self.system_observable()        # Hermiticity check at load
-        s, f = self.pre_state(), self.post_state()
+        try:
+            a = Observable(_complex_array(self.a_entries))
+        except HermiticityError as exc:
+            raise ConfigError(f"system observable: {exc}") from exc
+        s = StateVector(_complex_array(self.s_amps))
+        f = StateVector(_complex_array(self.f_amps))
         if not (a.dim == s.dim == f.dim):
             raise ConfigError(
                 f"system dims disagree: A is {a.dim}x{a.dim}, "
@@ -212,18 +231,9 @@ class ExperimentConfig:
         for e in self.eps_values:
             if not (0.0 < float(e) <= 0.5):
                 raise ConfigError(f"eps value {e!r} outside (0, 0.5]")
-
-    def system_observable(self) -> Observable:
-        try:
-            return Observable(_matrix_entries(self.a_entries))
-        except HermiticityError as exc:
-            raise ConfigError(f"system observable: {exc}") from exc
-
-    def pre_state(self) -> StateVector:
-        return StateVector(_vector_amps(self.s_amps))
-
-    def post_state(self) -> StateVector:
-        return StateVector(_vector_amps(self.f_amps))
+        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "f", f)
 
     def grid_spec(self) -> GridSpec:
         return GridSpec(self.meter.n_points, self.meter.half_width)
@@ -235,8 +245,7 @@ class ExperimentConfig:
         return gaussian_grid_meter(self.grid_spec(), rho)
 
     def setup(self, rho: float = None) -> WeakSetup:
-        return WeakSetup(self.system_observable(), self.pre_state(),
-                         self.post_state(), self.meter_spec(rho))
+        return WeakSetup(self.A, self.s, self.f, self.meter_spec(rho))
 
     def schedule(self) -> EpsSchedule:
         try:
@@ -249,12 +258,10 @@ class ExperimentConfig:
             "schema_version": self.schema_version,
             "scenario": self.scenario,
             "system": {
-                "A": [[_encode_scalar(complex(re, im)) for re, im in row]
+                "A": [[_encode_pair(z) for z in row]
                       for row in self.a_entries],
-                "s": [_encode_scalar(complex(re, im))
-                      for re, im in self.s_amps],
-                "f": [_encode_scalar(complex(re, im))
-                      for re, im in self.f_amps],
+                "s": [_encode_pair(z) for z in self.s_amps],
+                "f": [_encode_pair(z) for z in self.f_amps],
             },
             "meter": {
                 "kind": self.meter.kind,
@@ -271,13 +278,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
+        data = _object(data, "config root")
         try:
-            system = data["system"]
-            meter_d = data.get("meter", {})
-            mc_d = data.get("mc", {})
-            out_d = data.get("output", {})
+            system = _object(data["system"], "system")
+            meter_d = _object(data.get("meter", {}), "meter")
+            mc_d = _object(data.get("mc", {}), "mc")
+            out_d = _object(data.get("output", {}), "output")
             return cls(
                 scenario=data["scenario"],
                 a_entries=_canonical_matrix(system["A"]),
@@ -293,10 +299,10 @@ class ExperimentConfig:
                                                    DEFAULT_HALF_WIDTH),
                                        "meter.half_width"),
                 ),
-                eps_values=tuple(_number(e, "eps_schedule") for e in
-                                 data.get("eps_schedule", DEFAULT_EPS)),
-                rho_values=tuple(_number(r, "rho_values") for r in
-                                 data.get("rho_values", ())),
+                eps_values=_numbers(data.get("eps_schedule", DEFAULT_EPS),
+                                    "eps_schedule"),
+                rho_values=_numbers(data.get("rho_values", ()),
+                                    "rho_values"),
                 mc=MonteCarloConfig(
                     n_trials=_number(mc_d.get("n_trials", 100_000),
                                      "mc.n_trials", int),
@@ -315,12 +321,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(_read_json(path))
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -392,7 +393,8 @@ def preset(name: str) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One line of scenario output; mirrors the CSV columns exactly."""
+    """One line of scenario output; its fields, in order, are the CSV
+    columns."""
 
     scenario: str
     rho: float = None
@@ -409,8 +411,8 @@ class ResultRow:
     disturbance: float = None
     status: str = STATUS_OK
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_COLUMNS}
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _finite_or_none(x):
@@ -420,32 +422,23 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
-def _safe_projective(a, s, f):
-    try:
-        return projective_conditional_expectation(a, s, f)
-    except EmptyPostselectionError:
-        return None
-
-
 def _weak_value_fields(setup: WeakSetup, sched: EpsSchedule) -> dict:
     """The weak-value column family for one setup, undefined-safe."""
-    a, s, f = setup.A, setup.s, setup.f
-    fields = {"projective_cond": _safe_projective(a, s, f)}
     try:
-        ratio = aav_complex_weak_value(a, s, f)
+        report = weak_value_report(setup, sched)
     except UndefinedWeakValueError:
-        fields["status"] = STATUS_UNDEFINED
-        return fields
-    ex = weak_value_extrapolation(setup, sched)
-    fields.update(
-        wv_numeric=ex.limit,
-        wv_closed=weak_value_closed_form(setup),
-        wv_traditional=ratio.real,
-        wv_aav_re=ratio.real,
-        wv_aav_im=ratio.imag,
-        status=STATUS_OK,
-    )
-    return fields
+        return {"projective_cond": _projective_or_none(setup.A, setup.s,
+                                                       setup.f),
+                "status": STATUS_UNDEFINED}
+    return {
+        "wv_numeric": report.numeric,
+        "wv_closed": report.closed_form,
+        "wv_traditional": report.traditional,
+        "wv_aav_re": report.aav_complex.real,
+        "wv_aav_im": report.aav_complex.imag,
+        "projective_cond": report.projective_conditional,
+        "status": STATUS_OK,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +570,9 @@ def run_disturbance(config: ExperimentConfig):
 def run_aav_grid(config: ExperimentConfig):
     """Weak-value row measured with the Fourier-grid Gaussian meter, with
     the meter's calibration and its agreement with the qubit meter."""
-    grid = config.grid_spec()
     rho = config.meter.rho
-    meter = gaussian_grid_meter(grid, rho)
-    setup = WeakSetup(config.system_observable(), config.pre_state(),
-                      config.post_state(), meter)
+    setup = config.setup()
+    meter = setup.meter
     row = ResultRow(scenario="aav-grid", rho=rho,
                     **_weak_value_fields(setup, config.schedule()))
     m = meter.m.amps
@@ -589,7 +580,7 @@ def run_aav_grid(config: ExperimentConfig):
     p = meter.G.entries - rho * q
     read = complex(np.vdot(m, q @ m))
     mom = coupling_moment(meter)
-    conj_chirp = chirped_gaussian_state(grid, -rho).amps
+    conj_chirp = chirped_gaussian_state(config.grid_spec(), -rho).amps
     chirp_mom = complex(np.vdot(conj_chirp, q @ (p @ conj_chirp)))
     try:
         qubit_closed = weak_value_closed_form(
@@ -618,7 +609,6 @@ def run_compare(config: ExperimentConfig):
     """
     setup = config.setup()
     sched = config.schedule()
-    fields = _weak_value_fields(setup, sched)
     eps = config.eps_values[0]
     run = monte_carlo_run(setup, eps, config.mc.n_trials, config.mc.seed)
     est = run.estimate
@@ -631,7 +621,7 @@ def run_compare(config: ExperimentConfig):
         mc_mean=None if mc_mean is None else mc_mean / eps,
         mc_stderr=None if mc_err is None else mc_err / eps,
         mc_n_success=est.n_success,
-        **fields,
+        **_weak_value_fields(setup, sched),
     )
     analytic = expectation(setup.A, setup.s)
     uncond = unconditional_limit(setup, sched)
@@ -697,7 +687,7 @@ def render_csv(rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([_csv_cell(row.as_dict()[c]) for c in CSV_COLUMNS])
+        writer.writerow([_csv_cell(getattr(row, c)) for c in CSV_COLUMNS])
     return buf.getvalue()
 
 
@@ -705,7 +695,7 @@ def render_json(config, rows, summary) -> str:
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": config.to_dict(),
-        "rows": [_clean(row.as_dict()) for row in rows],
+        "rows": [_clean(asdict(row)) for row in rows],
         "summary": summary,
     }
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
@@ -744,40 +734,34 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    config = replace(config, scenario=args.scenario)
-    if args.rho is not None:
-        config = replace(config, meter=replace(config.meter, rho=args.rho))
+def _apply_overrides(data, args) -> dict:
+    """Fold the command-line overrides into a config dict, so that flags
+    and files reach the same checks in ExperimentConfig.from_dict."""
+    data = {**_object(data, "config root"), "scenario": args.scenario}
     if args.eps is not None:
         try:
-            eps = tuple(float(tok) for tok in args.eps.split(",") if tok)
+            data["eps_schedule"] = [float(tok) for tok in args.eps.split(",")
+                                    if tok]
         except ValueError:
             raise ConfigError(f"--eps expects comma-separated numbers, "
                               f"got {args.eps!r}") from None
-        config = replace(config, eps_values=eps)
-    mc = config.mc
-    if args.trials is not None:
-        mc = replace(mc, n_trials=args.trials)
-    if args.seed is not None:
-        mc = replace(mc, seed=args.seed)
-    if mc is not config.mc:
-        config = replace(config, mc=mc)
-    out = config.output
-    if args.out is not None:
-        out = replace(out, path=args.out)
-    if args.format is not None:
-        out = replace(out, format=args.format)
-    if out is not config.output:
-        config = replace(config, output=out)
-    return config
+    for section, key, value in (("meter", "rho", args.rho),
+                                ("mc", "n_trials", args.trials),
+                                ("mc", "seed", args.seed),
+                                ("output", "path", args.out),
+                                ("output", "format", args.format)):
+        if value is not None:
+            data[section] = {**_object(data.get(section, {}), section),
+                             key: value}
+    return data
 
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        base = (preset(args.preset) if args.preset
-                else ExperimentConfig.load(args.config))
-        config = _apply_overrides(base, args)
+        data = (preset(args.preset).to_dict() if args.preset
+                else _read_json(args.config))
+        config = ExperimentConfig.from_dict(_apply_overrides(data, args))
         rows, summary = run_scenario(config)
         if config.output.format == "json":
             text = render_json(config, rows, summary)
@@ -790,9 +774,8 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    except (ConfigError, CalibrationError, UndefinedWeakValueError,
-            EmptyPostselectionError, DimensionMismatchError,
-            HermiticityError, ValueError, OSError) as exc:
+    # every error the library raises on bad input is a ValueError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,9 @@
 """Finite-dimensional complex Hilbert space primitives.
 
-States, Hermitian observables, tensor products, spectral calculus, exact
-unitary evolution, projectors, and partial traces. Everything here is
-immutable after construction and safe to share across threads.
+States, Hermitian observables, spectral decompositions, product states,
+the coupled evolution exp(-i eps (A (x) G)), density matrices and the
+trace distance. Everything here is immutable after construction and safe
+to share across threads.
 
 Tensor index convention: system-major. A composite index is
 ``i = i_S * dim_M + i_M``, so the meter index varies fastest and the
@@ -77,9 +78,6 @@ class StateVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
-
-    def normalized(self) -> "StateVector":
-        return StateVector(self.amps)
 
     def __repr__(self):
         return f"StateVector(dim={self.dim}, norm={self.norm:.12g})"
@@ -218,33 +216,9 @@ class DensityMatrix:
         return cls(np.outer(a, a.conj()))
 
 
-def inner(v: StateVector, w: StateVector) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    if v.dim != w.dim:
-        raise DimensionMismatchError(f"dims {v.dim} and {w.dim} differ")
-    return complex(np.vdot(v.amps, w.amps))
-
-
 def tensor_state(s: StateVector, m: StateVector) -> StateVector:
     """Product state s (x) m with system-major index ordering."""
     return StateVector.raw(np.kron(s.amps, m.amps))
-
-
-def tensor_op(x: Observable, y: Observable) -> Observable:
-    """Operator x (x) y in the same index ordering as tensor_state."""
-    return Observable(np.kron(x.entries, y.entries))
-
-
-def evolve(h: Observable, eps: float, v: StateVector) -> StateVector:
-    """Apply exp(-i*eps*H) to v via the spectral calculus of H."""
-    if h.dim != v.dim:
-        raise DimensionMismatchError(
-            f"operator dim {h.dim} != state dim {v.dim}"
-        )
-    dec = eig_hermitian(h)
-    vm = dec.eigenvectors
-    coeff = vm.conj().T @ v.amps
-    return StateVector.raw(vm @ (np.exp(-1j * eps * dec.eigenvalues) * coeff))
 
 
 def evolve_coupling(a: Observable, g: Observable, eps: float,
@@ -270,26 +244,6 @@ def evolve_coupling(a: Observable, g: Observable, eps: float,
     phases = np.exp(-1j * eps * np.outer(da.eigenvalues, dg.eigenvalues))
     out = da.eigenvectors @ (phases * c) @ dg.eigenvectors.T
     return StateVector.raw(out.reshape(-1))
-
-
-def projector(w: StateVector) -> Observable:
-    """Rank-1 orthogonal projector onto the ray of w."""
-    n = np.linalg.norm(w.amps)
-    if n < _ZERO_NORM:
-        raise ValueError("cannot project onto a zero vector")
-    a = w.amps / n
-    return Observable(np.outer(a, a.conj()))
-
-
-def partial_trace_meter(rho: DensityMatrix, dim_s: int,
-                        dim_m: int) -> DensityMatrix:
-    """Trace out the meter factor of a composite density matrix."""
-    if rho.dim != dim_s * dim_m:
-        raise DimensionMismatchError(
-            f"density matrix dim {rho.dim} != {dim_s} * {dim_m}"
-        )
-    blocks = rho.entries.reshape(dim_s, dim_m, dim_s, dim_m)
-    return DensityMatrix(np.einsum("imjm->ij", blocks))
 
 
 def expectation(a: Observable, v: StateVector) -> float:

@@ -32,7 +32,6 @@ class GridSpec:
 
     n_points: int
     half_width: float
-    spacing: float = 0.0
 
     def __post_init__(self):
         n = self.n_points
@@ -40,7 +39,10 @@ class GridSpec:
             raise ValueError(f"n_points must be a power of two, got {n}")
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
-        object.__setattr__(self, "spacing", 2.0 * self.half_width / n)
+
+    @property
+    def spacing(self) -> float:
+        return 2.0 * self.half_width / self.n_points
 
     @classmethod
     def default(cls) -> "GridSpec":

@@ -30,15 +30,6 @@ from .protocol import (
 )
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """One trial: the meter eigenvalue read, and whether postselection
-    succeeded afterwards."""
-
-    b_value: float
-    postselected: bool
-
-
 @dataclass(frozen=True, eq=False)
 class OutcomeTable:
     """Exact joint distribution over (meter eigenvalue, success).
@@ -130,25 +121,6 @@ def exact_outcome_distribution(setup: WeakSetup, eps: float) -> OutcomeTable:
     )
 
 
-def sample_run(setup: WeakSetup, eps: float, rng: np.random.Generator) -> Outcome:
-    """Simulate one trial: read the meter, then attempt postselection.
-
-    Consumes exactly four uniforms (one Philox counter block) and uses
-    the first two, keeping repeated calls aligned with the vectorized
-    sampler's trial numbering.
-    """
-    b_vals, marginal, joint = _branch_tables(setup, eps)
-    u = rng.random(4)
-    cum = np.cumsum(marginal)
-    gi = int(np.searchsorted(cum, u[0] * cum[-1], side="right"))
-    gi = min(gi, len(b_vals) - 1)
-    success_given_branch = joint[gi] / marginal[gi] if marginal[gi] > 0 else 0.0
-    return Outcome(
-        b_value=float(b_vals[gi]),
-        postselected=bool(u[1] < success_given_branch),
-    )
-
-
 def _philox_generator(seed: int, trial_offset: int) -> np.random.Generator:
     bits = np.random.Philox(key=seed)
     if trial_offset:
@@ -200,13 +172,6 @@ def monte_carlo_run(setup: WeakSetup, eps: float, n_trials: int, seed: int,
         counts=counts,
         estimate=_estimate(successes, n_trials, seed),
     )
-
-
-def monte_carlo_conditional_mean(setup: WeakSetup, eps: float, n_trials: int,
-                                 seed: int,
-                                 trial_offset: int = 0) -> EstimateWithError:
-    """Mean meter eigenvalue over trials that survived postselection."""
-    return monte_carlo_run(setup, eps, n_trials, seed, trial_offset).estimate
 
 
 def projective_A_oracle(a: Observable, s: StateVector, f: StateVector,

@@ -110,7 +110,6 @@ class EpsSchedule:
     """Descending coupling strengths used for the eps -> 0 extrapolation."""
 
     eps_values: tuple
-    extrapolation_order: int = 1
 
     def __post_init__(self):
         vals = tuple(float(e) for e in self.eps_values)
@@ -147,6 +146,8 @@ class WeakValueReport:
 
     ``numeric`` carries the extrapolated protocol simulation with its
     ``numeric_error`` estimate; the remaining fields are closed-form.
+    ``projective_conditional`` is None when a projective A measurement
+    passes the postselection with numerically zero probability.
     """
 
     numeric: float
@@ -154,7 +155,7 @@ class WeakValueReport:
     closed_form: float
     traditional: float
     aav_complex: complex
-    projective_conditional: float
+    projective_conditional: float | None
     rho_effective: float
 
 
@@ -379,6 +380,15 @@ def projective_conditional_expectation(a: Observable, s: StateVector,
     return float((values * joint).sum()) / total
 
 
+def _projective_or_none(a: Observable, s: StateVector, f: StateVector):
+    """The projective conditional expectation, or None when the
+    postselection is numerically empty."""
+    try:
+        return projective_conditional_expectation(a, s, f)
+    except EmptyPostselectionError:
+        return None
+
+
 def disturbance(setup: WeakSetup, eps: float) -> float:
     """How far one full meter readout kicks the system away from s.
 
@@ -405,7 +415,7 @@ def weak_value_report(setup: WeakSetup,
         closed_form=weak_value_closed_form(setup),
         traditional=ratio.real,
         aav_complex=ratio,
-        projective_conditional=projective_conditional_expectation(
-            setup.A, setup.s, setup.f),
+        projective_conditional=_projective_or_none(setup.A, setup.s,
+                                                   setup.f),
         rho_effective=coupling_moment(setup.meter).real,
     )

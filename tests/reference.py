@@ -1,13 +1,101 @@
 """Slow, literal implementations kept as test oracles.
 
-Each one walks the eigenspaces one at a time, as the physics is usually
-written down, so the loop-free library code can be checked against it.
+The branch tables and the disturbance walk the eigenspaces one at a
+time, as the physics is usually written down, so the loop-free library
+code can be checked against them. The dense Hilbert-space primitives
+(inner product, operator tensor product, spectral evolution, projector,
+meter partial trace) and the one-trial sampler spell out what the
+library computes in factored or vectorized form.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from weakmeas.hilbert import DensityMatrix, eig_hermitian, trace_distance
+from weakmeas.hilbert import (
+    DensityMatrix,
+    DimensionMismatchError,
+    Observable,
+    StateVector,
+    eig_hermitian,
+    trace_distance,
+)
+from weakmeas.oracle import _branch_tables
 from weakmeas.protocol import EMPTY_PROB, coupled_state
+
+_ZERO_NORM = 1e-15        # below this a vector cannot be normalized
+
+
+def inner(v: StateVector, w: StateVector) -> complex:
+    """Inner product, conjugate-linear in the first argument."""
+    if v.dim != w.dim:
+        raise DimensionMismatchError(f"dims {v.dim} and {w.dim} differ")
+    return complex(np.vdot(v.amps, w.amps))
+
+
+def tensor_op(x: Observable, y: Observable) -> Observable:
+    """Operator x (x) y in the same index ordering as tensor_state."""
+    return Observable(np.kron(x.entries, y.entries))
+
+
+def evolve(h: Observable, eps: float, v: StateVector) -> StateVector:
+    """Apply exp(-i*eps*H) to v via the spectral calculus of H."""
+    if h.dim != v.dim:
+        raise DimensionMismatchError(
+            f"operator dim {h.dim} != state dim {v.dim}"
+        )
+    dec = eig_hermitian(h)
+    vm = dec.eigenvectors
+    coeff = vm.conj().T @ v.amps
+    return StateVector.raw(vm @ (np.exp(-1j * eps * dec.eigenvalues) * coeff))
+
+
+def projector(w: StateVector) -> Observable:
+    """Rank-1 orthogonal projector onto the ray of w."""
+    n = np.linalg.norm(w.amps)
+    if n < _ZERO_NORM:
+        raise ValueError("cannot project onto a zero vector")
+    a = w.amps / n
+    return Observable(np.outer(a, a.conj()))
+
+
+def partial_trace_meter(rho: DensityMatrix, dim_s: int,
+                        dim_m: int) -> DensityMatrix:
+    """Trace out the meter factor of a composite density matrix."""
+    if rho.dim != dim_s * dim_m:
+        raise DimensionMismatchError(
+            f"density matrix dim {rho.dim} != {dim_s} * {dim_m}"
+        )
+    blocks = rho.entries.reshape(dim_s, dim_m, dim_s, dim_m)
+    return DensityMatrix(np.einsum("imjm->ij", blocks))
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """One trial: the meter eigenvalue read, and whether postselection
+    succeeded afterwards."""
+
+    b_value: float
+    postselected: bool
+
+
+def sample_run(setup, eps: float, rng: np.random.Generator) -> Outcome:
+    """Simulate one trial: read the meter, then attempt postselection.
+
+    Consumes exactly four uniforms (one Philox counter block) and uses
+    the first two, keeping repeated calls aligned with the vectorized
+    sampler's trial numbering.
+    """
+    b_vals, marginal, joint = _branch_tables(setup, eps)
+    u = rng.random(4)
+    cum = np.cumsum(marginal)
+    gi = int(np.searchsorted(cum, u[0] * cum[-1], side="right"))
+    gi = min(gi, len(b_vals) - 1)
+    success_given_branch = joint[gi] / marginal[gi] if marginal[gi] > 0 else 0.0
+    return Outcome(
+        b_value=float(b_vals[gi]),
+        postselected=bool(u[1] < success_given_branch),
+    )
 
 
 def eigenspaces(dec):

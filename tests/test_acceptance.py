@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 from weakmeas.cli import ExperimentConfig, preset, run_scenario
-from weakmeas.hilbert import Observable, StateVector, expectation, inner
+from weakmeas.hilbert import Observable, StateVector, expectation
 from weakmeas.meters import (
     GridSpec,
     chirped_gaussian_state,
@@ -32,6 +32,8 @@ from weakmeas.protocol import (
     weak_value_closed_form,
     weak_value_extrapolation,
 )
+
+from reference import inner
 
 
 def report(criterion, passed, detail):

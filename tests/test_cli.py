@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from weakmeas.cli import (
 )
 
 SX = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def generic_config(scenario="weak-value", **kw):
@@ -71,7 +74,7 @@ class TestConfigRoundTrip:
     def test_complex_entries_survive(self):
         cfg = generic_config(s_amps=((1.0, 0.0), (0.0, 1.0)))
         back = ExperimentConfig.from_dict(cfg.to_dict())
-        amps = back.pre_state().amps
+        amps = back.s.amps
         assert amps[1] == pytest.approx(1j / math.sqrt(2))
 
 
@@ -164,15 +167,13 @@ class TestPresets:
         assert cfg.scenario == "weak-value"
         assert cfg.meter.rho == 50.0
         assert cfg.rho_values == (-50.0, 0.0, 50.0)
-        assert np.allclose(cfg.system_observable().entries,
-                           [[0, 1], [1, 0]])
+        assert np.allclose(cfg.A.entries, [[0, 1], [1, 0]])
 
     def test_aav100_traditional_is_exactly_100(self):
         from weakmeas.protocol import traditional_weak_value
 
         cfg = preset("aav100")
-        wv = traditional_weak_value(cfg.system_observable(),
-                                    cfg.pre_state(), cfg.post_state())
+        wv = traditional_weak_value(cfg.A, cfg.s, cfg.f)
         assert abs(wv - 100.0) <= 1e-9
 
     def test_convexity_contrast_scenario(self):
@@ -405,6 +406,11 @@ class TestMainEntry:
         records = row_dicts(out_path.read_text())
         assert [r["rho"] for r in records] == ["7.0", "7.0"]
         assert [r["eps"] for r in records] == ["0.02", "0.01"]
+        # sample reads only the first eps, so one value is a valid schedule
+        assert main(["sample", "--preset", "aav100", "--eps", "0.01",
+                     "--out", str(out_path)]) == 0
+        records = row_dicts(out_path.read_text())
+        assert [r["eps"] for r in records] == ["0.01"]
 
     def test_trials_and_seed_overrides_change_sampling(self, tmp_path,
                                                        capsys):
@@ -454,6 +460,19 @@ class TestMainEntry:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         cases.append(["weak-value", "--config", str(bad)])
+        # wrong JSON types: sections that are not objects, a path that is
+        # not a string (an int would reach open() as a file descriptor)
+        wrong_types = [[1, 2], {"system": [1, 2]}, {"output": None},
+                       {"meter": None}, {"mc": None}, {"mc": [1]},
+                       {"output": {"path": 2}}, {"output": {"path": True}},
+                       {"output": {"format": 5}}, {"meter": {"kind": 5}},
+                       {"eps_schedule": 0.01}, {"rho_values": None}]
+        for i, patch in enumerate(wrong_types):
+            data = patch if isinstance(patch, list) \
+                else {**generic_config().to_dict(), **patch}
+            path = tmp_path / f"wrong{i}.json"
+            path.write_text(json.dumps(data))
+            cases.append(["weak-value", "--config", str(path)])
         for argv in cases:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
@@ -469,6 +488,26 @@ class TestMainEntry:
         cfg.save(str(cfg_path))
         assert main(["aav-grid", "--config", str(cfg_path)]) == 2
         assert "calibration" in capsys.readouterr().err
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("scenario", ["weak-value", "sweep-rho",
+                                          "limit-check", "sample",
+                                          "disturbance", "compare"])
+    @pytest.mark.parametrize("name", ["nonunique-rho50", "aav100",
+                                      "convexity-contrast"])
+    def test_qubit_preset_csv_is_byte_identical(self, name, scenario,
+                                                capsys):
+        # tests/golden holds stdout + stderr of each run; the runs that
+        # exit 2 (a sweep without rho_values) pin their error line instead.
+        # A change that alters these bytes on purpose regenerates a file
+        # with: python -m weakmeas.cli SCENARIO --preset NAME
+        #       > tests/golden/NAME.SCENARIO.csv 2>&1
+        code = main([scenario, "--preset", name])
+        out, err = capsys.readouterr()
+        want = (GOLDEN / f"{name}.{scenario}.csv").read_bytes()
+        assert (out + err).encode() == want
+        assert code == (2 if err else 0)
 
 
 class TestUndefinedRowThroughCli:

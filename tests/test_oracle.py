@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from weakmeas.hilbert import Observable, StateVector, eig_hermitian, evolve
+from weakmeas.hilbert import Observable, StateVector, eig_hermitian
 from weakmeas.meters import qubit_meter
 from weakmeas.oracle import (
     EstimateWithError,
     MonteCarloRun,
-    Outcome,
     exact_outcome_distribution,
-    monte_carlo_conditional_mean,
     monte_carlo_run,
     projective_A_oracle,
-    sample_run,
 )
 from weakmeas.oracle import _branch_tables, _philox_generator
 from weakmeas.protocol import (
@@ -27,6 +24,7 @@ from weakmeas.protocol import (
 )
 
 import reference
+from reference import Outcome, evolve, sample_run
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -183,13 +181,13 @@ class TestMonteCarlo:
         setup = canonical_setup(50.0)
         eps = 1e-2
         table = exact_outcome_distribution(setup, eps)
-        est = monte_carlo_conditional_mean(setup, eps, 100_000, seed=1234)
+        est = monte_carlo_run(setup, eps, 100_000, seed=1234).estimate
         assert not est.is_empty
         assert abs(est.mean - table.conditional_mean) <= 4 * est.std_error
 
     def test_single_trial_sentinel(self):
         setup = WeakSetup(Observable(SX), CIRC, CIRC, qubit_meter(0.0))
-        est = monte_carlo_conditional_mean(setup, 1e-2, 1, seed=77)
+        est = monte_carlo_run(setup, 1e-2, 1, seed=77).estimate
         assert est.n_trials == 1
         assert est.n_success == 1
         assert math.isnan(est.std_error)
@@ -197,7 +195,7 @@ class TestMonteCarlo:
 
     def test_zero_successes_yield_empty_estimate(self):
         setup = WeakSetup(Observable(SZ), E1, E2, qubit_meter(0.0))
-        est = monte_carlo_conditional_mean(setup, 1e-2, 1000, seed=88)
+        est = monte_carlo_run(setup, 1e-2, 1000, seed=88).estimate
         assert est.is_empty
         assert est.n_success == 0
         assert math.isnan(est.mean)
@@ -205,15 +203,15 @@ class TestMonteCarlo:
 
     def test_error_shrinks_with_sample_size(self):
         setup = canonical_setup(0.0)
-        small = monte_carlo_conditional_mean(setup, 1e-2, 10_000, seed=99)
-        large = monte_carlo_conditional_mean(setup, 1e-2, 160_000, seed=99)
+        small = monte_carlo_run(setup, 1e-2, 10_000, seed=99).estimate
+        large = monte_carlo_run(setup, 1e-2, 160_000, seed=99).estimate
         # 16x the trials: standard error should drop about 4x
         assert small.std_error / large.std_error == pytest.approx(4.0,
                                                                   rel=0.25)
 
     def test_seed_recorded(self):
-        est = monte_carlo_conditional_mean(canonical_setup(0.0), 1e-2, 100,
-                                           seed=31337)
+        est = monte_carlo_run(canonical_setup(0.0), 1e-2, 100,
+                              seed=31337).estimate
         assert est.seed == 31337
         assert est.n_trials == 100
 

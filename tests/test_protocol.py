@@ -8,9 +8,6 @@ from weakmeas.hilbert import (
     StateVector,
     eig_hermitian,
     expectation,
-    partial_trace_meter,
-    projector,
-    tensor_op,
     tensor_state,
     trace_distance,
 )
@@ -43,6 +40,7 @@ from weakmeas.protocol import (
 )
 
 import reference
+from reference import evolve, partial_trace_meter, projector, tensor_op
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -194,7 +192,6 @@ class TestCoupledState:
         got = coupled_state(setup, 0.3)
         blocks = got.amps.reshape(2, 2)
         # each system amplitude carries the same evolved meter state
-        from weakmeas.hilbert import evolve
         want_m = evolve(meter.G, 0.3, meter.m)
         for i in range(2):
             np.testing.assert_allclose(blocks[i], setup.s.amps[i] * want_m.amps,
