@@ -74,10 +74,13 @@ def _is_number(x) -> bool:
 
 
 def _number(x, key: str, kind=float):
-    """A finite config number, converted to ``kind``; booleans, strings
-    and JSON's Infinity/NaN are refused rather than coerced."""
+    """A finite config number, converted to ``kind``; booleans, strings,
+    JSON's Infinity/NaN and fractions where an int is due are refused
+    rather than coerced. A whole float such as JSON's 1e6 is an int."""
     if not _is_number(x) or (isinstance(x, float) and not math.isfinite(x)):
         raise ConfigError(f"{key} must be a finite number, got {x!r}")
+    if kind is int and x != int(x):
+        raise ConfigError(f"{key} must be a whole number, got {x!r}")
     return kind(x)
 
 

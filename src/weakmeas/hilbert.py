@@ -1,13 +1,14 @@
 """Finite-dimensional complex Hilbert space primitives.
 
-States, Hermitian observables, spectral decompositions, product states,
-the coupled evolution exp(-i eps (A (x) G)), density matrices and the
-trace distance. Everything here is immutable after construction and safe
-to share across threads.
+States, Hermitian observables, spectral decompositions, the coupled
+evolution exp(-i eps (A (x) G)), density matrices and the trace
+distance. Everything here is immutable after construction and safe to
+share across threads.
 
-Tensor index convention: system-major. A composite index is
-``i = i_S * dim_M + i_M``, so the meter index varies fastest and the
-partial trace over the meter is a contiguous block sum.
+A coupled system-meter state is a (dim_S, dim_M) array of amplitudes:
+row i holds the meter amplitudes that go with system basis state i, so
+the partial trace over the meter is a product of the array with its
+conjugate transpose.
 """
 
 from __future__ import annotations
@@ -35,25 +36,15 @@ class HermiticityError(ValueError):
     """A matrix violated a Hermiticity contract."""
 
 
-def _as_complex_vector(amps) -> np.ndarray:
-    a = np.array(amps, dtype=np.complex128).reshape(-1)
-    if a.size == 0:
-        raise ValueError("state vector needs at least one amplitude")
-    return a
-
-
 class StateVector:
-    """Vector in C^dim.
+    """Unit vector in C^dim; the constructor normalizes its amplitudes."""
 
-    The plain constructor normalizes, so ``norm`` is 1.0 afterwards.
-    Intermediate results (projections, unitary images) are built with
-    :meth:`raw`, which keeps the amplitudes and records their norm.
-    """
-
-    __slots__ = ("dim", "amps", "norm")
+    __slots__ = ("dim", "amps")
 
     def __init__(self, amps):
-        a = _as_complex_vector(amps)
+        a = np.array(amps, dtype=np.complex128).reshape(-1)
+        if a.size == 0:
+            raise ValueError("state vector needs at least one amplitude")
         if not np.isfinite(a).all():
             raise ValueError("state vector has non-finite amplitudes")
         n = float(np.linalg.norm(a))
@@ -63,24 +54,12 @@ class StateVector:
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
         object.__setattr__(self, "dim", a.size)
-        object.__setattr__(self, "norm", float(np.linalg.norm(a)))
-
-    @classmethod
-    def raw(cls, amps) -> "StateVector":
-        """Wrap amplitudes without normalizing; the norm is recorded as-is."""
-        self = object.__new__(cls)
-        a = _as_complex_vector(amps)
-        a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
-        object.__setattr__(self, "dim", a.size)
-        object.__setattr__(self, "norm", float(np.linalg.norm(a)))
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
 
     def __repr__(self):
-        return f"StateVector(dim={self.dim}, norm={self.norm:.12g})"
+        return f"StateVector(dim={self.dim})"
 
 
 class Observable:
@@ -116,17 +95,6 @@ class Observable:
 
     def __setattr__(self, name, value):
         raise AttributeError("Observable is immutable")
-
-    @classmethod
-    def identity(cls, dim: int) -> "Observable":
-        return cls(np.eye(dim))
-
-    def apply(self, v: StateVector) -> StateVector:
-        if v.dim != self.dim:
-            raise DimensionMismatchError(
-                f"operator dim {self.dim} != state dim {v.dim}"
-            )
-        return StateVector.raw(self.entries @ v.amps)
 
     def __repr__(self):
         return f"Observable(dim={self.dim})"
@@ -216,14 +184,9 @@ class DensityMatrix:
         return cls(np.outer(a, a.conj()))
 
 
-def tensor_state(s: StateVector, m: StateVector) -> StateVector:
-    """Product state s (x) m with system-major index ordering."""
-    return StateVector.raw(np.kron(s.amps, m.amps))
-
-
 def evolve_coupling(a: Observable, g: Observable, eps: float,
-                    v: StateVector) -> StateVector:
-    """Apply exp(-i*eps*(A (x) G)) to a composite state.
+                    r: np.ndarray) -> np.ndarray:
+    """Apply exp(-i*eps*(A (x) G)) to a (dim_S, dim_M) coupled state.
 
     Works in the factored eigenbasis of A and G separately: A (x) G is
     diagonal there with entries alpha_j * gamma_k, so only the two factor
@@ -231,19 +194,16 @@ def evolve_coupling(a: Observable, g: Observable, eps: float,
     the operator sum over A-eigenspaces of P_{a_j} (x) exp(-i*eps*alpha_j*G)
     evaluated without forming any dim(S)*dim(M) matrix.
     """
-    ds, dm = a.dim, g.dim
-    if v.dim != ds * dm:
+    if r.shape != (a.dim, g.dim):
         raise DimensionMismatchError(
-            f"state dim {v.dim} != {ds} * {dm}"
+            f"state shape {r.shape} != ({a.dim}, {g.dim})"
         )
     da = eig_hermitian(a)
     dg = eig_hermitian(g)
-    r = v.amps.reshape(ds, dm)
     # into the joint eigenbasis: rows via A's frame, columns via G's
     c = da.eigenvectors.conj().T @ r @ dg.eigenvectors.conj()
     phases = np.exp(-1j * eps * np.outer(da.eigenvalues, dg.eigenvalues))
-    out = da.eigenvectors @ (phases * c) @ dg.eigenvectors.T
-    return StateVector.raw(out.reshape(-1))
+    return da.eigenvectors @ (phases * c) @ dg.eigenvectors.T
 
 
 def expectation(a: Observable, v: StateVector) -> float:

@@ -65,7 +65,7 @@ def qubit_meter(rho: float) -> MeterSpec:
     m = StateVector([1.0, 0.0])
     g = Observable([[0.0, 1.0], [1.0, 0.0]])
     b = Observable([[0.0, rho + 0.5j], [rho - 0.5j, 0.0]])
-    meter = MeterSpec(dim_m=2, m=m, B=b, G=g)
+    meter = MeterSpec(m=m, B=b, G=g)
     verify_calibration(meter)
     return meter
 
@@ -106,7 +106,7 @@ def gaussian_grid_meter(grid: GridSpec, rho: float) -> MeterSpec:
     m = StateVector(_gaussian_amps(grid))
     b = position_operator(grid)
     g = Observable(momentum_operator(grid).entries + rho * b.entries)
-    meter = MeterSpec(dim_m=grid.n_points, m=m, B=b, G=g)
+    meter = MeterSpec(m=m, B=b, G=g)
     try:
         verify_calibration(meter)
     except CalibrationError as exc:

@@ -83,17 +83,16 @@ class MonteCarloRun:
 def _branch_tables(setup: WeakSetup, eps: float):
     """Per-eigenspace tables: eigenvalue, marginal prob, joint success prob.
 
-    Column j of C = blocks V* holds the branch amplitudes along B's j-th
+    Column j of C = r V* holds the branch amplitudes along B's j-th
     eigenvector, one per system index, and f^dagger C their postselected
     components; each probability is a group sum of squared moduli.
     """
     if eps <= 0:
         raise ValueError("outcome statistics require eps > 0")
     r = coupled_state(setup, eps)
-    blocks = r.amps.reshape(setup.dim_s, setup.meter.dim_m)
     dec = eig_hermitian(setup.meter.B)
-    # conjugate the small blocks, not the n x n eigenvector matrix
-    c = (blocks.conj() @ dec.eigenvectors).conj()
+    # conjugate the small state, not the n x n eigenvector matrix
+    c = (r.conj() @ dec.eigenvectors).conj()
     w = setup.f.amps.conj() @ c
     marginal = dec.group_sum((np.abs(c) ** 2).sum(axis=0))
     joint = dec.group_sum(np.abs(w) ** 2)
@@ -122,6 +121,11 @@ def exact_outcome_distribution(setup: WeakSetup, eps: float) -> OutcomeTable:
 
 
 def _philox_generator(seed: int, trial_offset: int) -> np.random.Generator:
+    # advance() takes the offset modulo 2^256, so a negative one would
+    # silently draw from the far end of the counter space
+    if trial_offset < 0:
+        raise ValueError(f"trial_offset must be nonnegative, "
+                         f"got {trial_offset}")
     bits = np.random.Philox(key=seed)
     if trial_offset:
         bits.advance(trial_offset)

@@ -7,9 +7,9 @@ evaluates unconditional and postselected meter statistics, extrapolates
 the eps -> 0 limits numerically, evaluates every closed-form weak value
 expression, and measures how much the procedure disturbs the system.
 
-All composite-space arithmetic is done on (dim_S, dim_M)-reshaped
-amplitude blocks, so no operator on the full product space is ever
-materialized; grid meters with a few thousand points stay cheap.
+All composite-space arithmetic is done on the (dim_S, dim_M) amplitude
+array of the coupled state, so no operator on the full product space is
+ever materialized; grid meters with a few thousand points stay cheap.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from .hilbert import (
     DensityMatrix,
     DimensionMismatchError,
     HermiticityError,
+    IMAG_TOL,
     Observable,
     StateVector,
     eig_hermitian,
     evolve_coupling,
-    tensor_state,
     trace_distance,
 )
 
@@ -35,7 +35,6 @@ CAL_READ_TOL = 1e-10      # |<m, Bm>|: the meter must initially read zero
 CAL_GAIN_TOL = 1e-8       # |2 Im<m, BGm> - 1|: unit gain
 ORTHO_CUTOFF = 1e-12      # |<f, s>| at or below this: weak value undefined
 EMPTY_PROB = 1e-20        # postselection probability below this is empty
-IMAG_TOL = 1e-10          # residual imaginary part in real readings
 
 #: Geometric eps schedule used when none is given. Successive halvings so
 #: each extrapolation step is an exact two-point Richardson update.
@@ -56,8 +55,8 @@ class EmptyPostselectionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MeterSpec:
-    """A meter: its Hilbert space dimension, initial state m, readout
-    observable B, and coupling operator G.
+    """A meter: its initial state m, readout observable B, and coupling
+    operator G.
 
     Construction checks dimensional consistency only. Calibration is a
     separate, explicit check (:func:`verify_calibration`) because
@@ -65,19 +64,20 @@ class MeterSpec:
     general readout formula.
     """
 
-    dim_m: int
     m: StateVector
     B: Observable
     G: Observable
 
     def __post_init__(self):
-        if not (self.dim_m == self.m.dim == self.B.dim == self.G.dim):
+        if not (self.m.dim == self.B.dim == self.G.dim):
             raise DimensionMismatchError(
-                f"meter dims disagree: dim_m={self.dim_m}, m={self.m.dim}, "
-                f"B={self.B.dim}, G={self.G.dim}"
+                f"meter dims disagree: m={self.m.dim}, B={self.B.dim}, "
+                f"G={self.G.dim}"
             )
-        if abs(self.m.norm - 1.0) > 1e-12:
-            raise ValueError("meter state must be normalized")
+
+    @property
+    def dim_m(self) -> int:
+        return self.m.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,9 +96,6 @@ class WeakSetup:
                 f"system dims disagree: A={self.A.dim}, s={self.s.dim}, "
                 f"f={self.f.dim}"
             )
-        for name, v in (("s", self.s), ("f", self.f)):
-            if abs(v.norm - 1.0) > 1e-12:
-                raise ValueError(f"state {name} must be normalized")
 
     @property
     def dim_s(self) -> int:
@@ -183,11 +180,16 @@ def verify_calibration(meter: MeterSpec) -> None:
         )
 
 
-def coupled_state(setup: WeakSetup, eps: float) -> StateVector:
-    """Prepare r(eps) = exp(-i eps (A (x) G)) (s (x) m)."""
+def coupled_state(setup: WeakSetup, eps: float) -> np.ndarray:
+    """Prepare r(eps) = exp(-i eps (A (x) G)) (s (x) m).
+
+    Returned as the (dim_S, dim_M) array r[i, k] of amplitudes on
+    system basis state i and meter basis state k; at eps = 0 it is the
+    outer product of s and m.
+    """
     if eps < 0:
         raise ValueError("coupling strength eps must be nonnegative")
-    start = tensor_state(setup.s, setup.meter.m)
+    start = np.outer(setup.s.amps, setup.meter.m.amps)
     return evolve_coupling(setup.A, setup.meter.G, eps, start)
 
 
@@ -204,9 +206,8 @@ def meter_reading(setup: WeakSetup, eps: float) -> float:
     if eps <= 0:
         raise ValueError("meter reading requires eps > 0")
     r = coupled_state(setup, eps)
-    blocks = r.amps.reshape(setup.dim_s, setup.meter.dim_m)
-    # (I (x) B) acts on the meter index of each block row
-    val = complex(np.vdot(blocks, blocks @ setup.meter.B.entries.T))
+    # (I (x) B) acts on the meter index of each row
+    val = complex(np.vdot(r, r @ setup.meter.B.entries.T))
     return _real_part(val, "meter reading") / eps
 
 
@@ -259,9 +260,7 @@ def _conditional_meter_vector(setup: WeakSetup, eps: float) -> np.ndarray:
     (P_f (x) I) r = f (x) (<f| r), so postselected moments of I (x) B
     reduce to moments of B in this vector.
     """
-    r = coupled_state(setup, eps)
-    blocks = r.amps.reshape(setup.dim_s, setup.meter.dim_m)
-    return setup.f.amps.conj() @ blocks
+    return setup.f.amps.conj() @ coupled_state(setup, eps)
 
 
 def postselection_probability(setup: WeakSetup, eps: float) -> float:
@@ -399,8 +398,7 @@ def disturbance(setup: WeakSetup, eps: float) -> float:
     trace distance between that state and P_s.
     """
     r = coupled_state(setup, eps)
-    blocks = r.amps.reshape(setup.dim_s, setup.meter.dim_m)
-    post = DensityMatrix(blocks @ blocks.conj().T)
+    post = DensityMatrix(r @ r.conj().T)
     return trace_distance(post, DensityMatrix.from_state(setup.s))
 
 

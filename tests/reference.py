@@ -3,9 +3,11 @@
 The branch tables and the disturbance walk the eigenspaces one at a
 time, as the physics is usually written down, so the loop-free library
 code can be checked against them. The dense Hilbert-space primitives
-(inner product, operator tensor product, spectral evolution, projector,
-meter partial trace) and the one-trial sampler spell out what the
-library computes in factored or vectorized form.
+(inner product, product state, operator tensor product, spectral
+evolution, projector, meter partial trace) and the one-trial sampler
+spell out what the library computes in factored or vectorized form.
+They take a StateVector or a plain, possibly unnormalized, amplitude
+array, and return amplitude arrays.
 """
 
 from dataclasses import dataclass
@@ -26,11 +28,22 @@ from weakmeas.protocol import EMPTY_PROB, coupled_state
 _ZERO_NORM = 1e-15        # below this a vector cannot be normalized
 
 
-def inner(v: StateVector, w: StateVector) -> complex:
+def _amps(v) -> np.ndarray:
+    return v.amps if isinstance(v, StateVector) else np.asarray(v, complex)
+
+
+def inner(v, w) -> complex:
     """Inner product, conjugate-linear in the first argument."""
-    if v.dim != w.dim:
-        raise DimensionMismatchError(f"dims {v.dim} and {w.dim} differ")
-    return complex(np.vdot(v.amps, w.amps))
+    v, w = _amps(v), _amps(w)
+    if v.size != w.size:
+        raise DimensionMismatchError(f"dims {v.size} and {w.size} differ")
+    return complex(np.vdot(v, w))
+
+
+def tensor_state(s, m) -> np.ndarray:
+    """Product state s (x) m as a flat vector, system index major: the
+    row-major flattening of the (dim_S, dim_M) array coupled_state uses."""
+    return np.kron(_amps(s), _amps(m))
 
 
 def tensor_op(x: Observable, y: Observable) -> Observable:
@@ -38,24 +51,26 @@ def tensor_op(x: Observable, y: Observable) -> Observable:
     return Observable(np.kron(x.entries, y.entries))
 
 
-def evolve(h: Observable, eps: float, v: StateVector) -> StateVector:
+def evolve(h: Observable, eps: float, v) -> np.ndarray:
     """Apply exp(-i*eps*H) to v via the spectral calculus of H."""
-    if h.dim != v.dim:
+    v = _amps(v)
+    if h.dim != v.size:
         raise DimensionMismatchError(
-            f"operator dim {h.dim} != state dim {v.dim}"
+            f"operator dim {h.dim} != state dim {v.size}"
         )
     dec = eig_hermitian(h)
     vm = dec.eigenvectors
-    coeff = vm.conj().T @ v.amps
-    return StateVector.raw(vm @ (np.exp(-1j * eps * dec.eigenvalues) * coeff))
+    coeff = vm.conj().T @ v
+    return vm @ (np.exp(-1j * eps * dec.eigenvalues) * coeff)
 
 
-def projector(w: StateVector) -> Observable:
+def projector(w) -> Observable:
     """Rank-1 orthogonal projector onto the ray of w."""
-    n = np.linalg.norm(w.amps)
+    w = _amps(w)
+    n = np.linalg.norm(w)
     if n < _ZERO_NORM:
         raise ValueError("cannot project onto a zero vector")
-    a = w.amps / n
+    a = w / n
     return Observable(np.outer(a, a.conj()))
 
 
@@ -106,18 +121,13 @@ def eigenspaces(dec):
         yield value, dec.eigenvectors[:, lo:hi]
 
 
-def _blocks(setup, eps):
-    r = coupled_state(setup, eps)
-    return r.amps.reshape(setup.dim_s, setup.meter.dim_m)
-
-
 def branch_tables(setup, eps):
     """Meter eigenvalue, Born probability and joint probability with
     postselection of each readout branch of r(eps)."""
-    blocks = _blocks(setup, eps)
+    r = coupled_state(setup, eps)
     rows = []
     for value, vg in eigenspaces(eig_hermitian(setup.meter.B)):
-        branch = blocks @ vg.conj()          # eigenspace coordinates
+        branch = r @ vg.conj()               # eigenspace coordinates
         w = setup.f.amps.conj() @ branch     # postselected meter component
         rows.append((value, np.vdot(branch, branch).real,
                      np.vdot(w, w).real))
@@ -143,11 +153,11 @@ def branch_disturbance(setup, eps):
     weights. Returns the trace distance between that post-measurement
     system state and P_s.
     """
-    blocks = _blocks(setup, eps)
+    r = coupled_state(setup, eps)
     post = np.zeros((setup.dim_s, setup.dim_s), dtype=complex)
     for _, vg in eigenspaces(eig_hermitian(setup.meter.B)):
         # (I (x) P_Q) r, kept in the eigenspace coordinates of the branch
-        branch = blocks @ vg.conj()
+        branch = r @ vg.conj()
         weight = float(np.vdot(branch, branch).real)
         if weight <= EMPTY_PROB:
             continue

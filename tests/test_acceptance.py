@@ -204,8 +204,7 @@ def test_criterion_8_miscalibrated_gain_scales_the_limit():
     worst = 0.0
     for c in (0.5, 2.0):
         base = qubit_meter(1.5)
-        meter = MeterSpec(base.dim_m, base.m, Observable(c * base.B.entries),
-                          base.G)
+        meter = MeterSpec(base.m, Observable(c * base.B.entries), base.G)
         for _ in range(5):
             dim = int(rng.integers(2, 6))
             a = random_hermitian(rng, dim)

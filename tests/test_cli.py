@@ -466,7 +466,11 @@ class TestMainEntry:
                        {"meter": None}, {"mc": None}, {"mc": [1]},
                        {"output": {"path": 2}}, {"output": {"path": True}},
                        {"output": {"format": 5}}, {"meter": {"kind": 5}},
-                       {"eps_schedule": 0.01}, {"rho_values": None}]
+                       {"eps_schedule": 0.01}, {"rho_values": None},
+                       # fractions where an int is due are not truncated
+                       {"mc": {"n_trials": 2500.9}}, {"mc": {"seed": 1.5}},
+                       {"schema_version": 1.7},
+                       {"meter": {"n_points": 256.5}}]
         for i, patch in enumerate(wrong_types):
             data = patch if isinstance(patch, list) \
                 else {**generic_config().to_dict(), **patch}
@@ -477,6 +481,11 @@ class TestMainEntry:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error:")
+        # a whole float is an int: JSON 1e6 loads as 1000000.0
+        path = tmp_path / "whole.json"
+        path.write_text(json.dumps({**generic_config().to_dict(),
+                                    "mc": {"n_trials": 1e6}}))
+        assert main(["weak-value", "--config", str(path)]) == 0
 
     def test_exit_2_on_uncalibrated_grid(self, tmp_path, capsys):
         cfg = generic_config(

@@ -148,7 +148,7 @@ class TestChirpedGaussianState:
     def test_normalized(self):
         v = chirped_gaussian_state(GridSpec.default(), 2.0)
         assert isinstance(v, StateVector)
-        assert abs(v.norm - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(v.amps) - 1.0) <= 1e-12
 
     def test_conjugate_chirp_realizes_shifted_coupling(self):
         # <c(-rho), Q P c(-rho)> = <m, Q (P + rho Q) m>: the chirp is the

@@ -83,12 +83,12 @@ class TestExactDistribution:
         eps = 0.2
         means = []
         for f in (random_state(rng, 2), random_state(rng, 2)):
-            setup = WeakSetup(Observable.identity(2), s, f, meter)
+            setup = WeakSetup(Observable(np.eye(2)), s, f, meter)
             means.append(exact_outcome_distribution(setup, eps).conditional_mean)
         assert means[0] == pytest.approx(means[1], abs=1e-12)
         # and both equal the evolved meter's reading
         m_eps = evolve(meter.G, eps, meter.m)
-        want = np.vdot(m_eps.amps, meter.B.entries @ m_eps.amps).real
+        want = np.vdot(m_eps, meter.B.entries @ m_eps).real
         assert means[0] == pytest.approx(want, abs=1e-12)
 
     def test_zero_success_probability_rejected(self):
@@ -111,7 +111,7 @@ class TestBranchTables:
     def test_degenerate_meter_readout(self):
         rng = np.random.default_rng(321)
         for _ in range(5):
-            meter = MeterSpec(dim_m=4, m=random_state(rng, 4),
+            meter = MeterSpec(m=random_state(rng, 4),
                               B=degenerate_observable(rng, [-1, -1, 2, 2]),
                               G=random_hermitian(rng, 4))
             setup = WeakSetup(random_hermitian(rng, 3), random_state(rng, 3),
@@ -226,6 +226,16 @@ class TestMonteCarlo:
             merged += shard.counts
         np.testing.assert_array_equal(merged, full.counts)
         assert full.counts.sum() == n
+
+    def test_negative_trial_offset_rejected(self):
+        # Philox.advance wraps a negative offset around the 256-bit
+        # counter, which would silently draw from its far end
+        with pytest.raises(ValueError, match="trial_offset"):
+            monte_carlo_run(canonical_setup(1.0), 1e-2, 10, 1,
+                            trial_offset=-1)
+        with pytest.raises(ValueError, match="trial_offset"):
+            projective_A_oracle(Observable(SX), CIRC, E1, 10, 1,
+                                trial_offset=-1)
 
     def test_chi_square_against_exact_table(self):
         setup = canonical_setup(0.0)
