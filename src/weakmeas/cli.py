@@ -572,19 +572,20 @@ def run_disturbance(config: ExperimentConfig):
 
 def run_aav_grid(config: ExperimentConfig):
     """Weak-value row measured with the Fourier-grid Gaussian meter, with
-    the meter's calibration and its agreement with the qubit meter."""
+    the meter's calibration and its agreement with the qubit meter. The
+    grid meter is used whatever the config's meter kind."""
     rho = config.meter.rho
-    setup = config.setup()
-    meter = setup.meter
+    grid = config.grid_spec()
+    meter = gaussian_grid_meter(grid, rho)
+    setup = WeakSetup(config.A, config.s, config.f, meter)
     row = ResultRow(scenario="aav-grid", rho=rho,
                     **_weak_value_fields(setup, config.schedule()))
     m = meter.m.amps
-    q = meter.B.entries                  # B = Q, G = P + rho Q
-    p = meter.G.entries - rho * q
-    read = complex(np.vdot(m, q @ m))
+    read = complex(np.vdot(m, meter.apply_B(m)))      # B = Q
     mom = coupling_moment(meter)
-    conj_chirp = chirped_gaussian_state(config.grid_spec(), -rho).amps
-    chirp_mom = complex(np.vdot(conj_chirp, q @ (p @ conj_chirp)))
+    conj_chirp = chirped_gaussian_state(grid, -rho).amps
+    chirp_mom = complex(np.vdot(conj_chirp,
+                                meter.apply_B(meter.apply_P(conj_chirp))))
     try:
         qubit_closed = weak_value_closed_form(
             replace(setup, meter=qubit_meter(rho)))

@@ -8,26 +8,30 @@ coupling, Gaussian initial state).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
-from .hilbert import Observable, StateVector
+from .hilbert import Observable, StateVector, eig_hermitian
 from .protocol import CalibrationError, MeterSpec, verify_calibration
 
 DEFAULT_N_POINTS = 1024
 DEFAULT_HALF_WIDTH = 20.0
+#: Largest grid accepted: a coupled state on it is a few tens of MB.
+MAX_N_POINTS = 2 ** 20
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid of n_points samples covering [-L, L).
 
-    n_points must be a power of two (the momentum operator is built with
-    an FFT). The supported envelope is n_points >= 128 and L >= 10 in
-    units of the Gaussian width; outside it the meter moments degrade and
-    gaussian_grid_meter reports the damage as a CalibrationError instead
-    of refusing up front, so the failure mode stays observable.
+    n_points must be a power of two (the momentum operator is applied
+    with an FFT) and at most MAX_N_POINTS. The supported envelope is
+    n_points >= 128 and L >= 10 in units of the Gaussian width; outside
+    it the meter moments degrade and gaussian_grid_meter reports the
+    damage as a CalibrationError instead of refusing up front, so the
+    failure mode stays observable.
     """
 
     n_points: int
@@ -37,6 +41,9 @@ class GridSpec:
         n = self.n_points
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two, got {n}")
+        if n > MAX_N_POINTS:
+            raise ValueError(f"n_points must be at most {MAX_N_POINTS}, "
+                             f"got {n}")
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
 
@@ -51,6 +58,11 @@ class GridSpec:
     def points(self) -> np.ndarray:
         """Grid coordinates -L + k * spacing, k = 0 .. n-1."""
         return -self.half_width + self.spacing * np.arange(self.n_points)
+
+    def wavenumbers(self) -> np.ndarray:
+        """Angular wavenumbers 2 pi k / (2L), k in [-n/2, n/2), in FFT
+        order: the spectrum of P."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
 
 
 def qubit_meter(rho: float) -> MeterSpec:
@@ -75,17 +87,21 @@ def position_operator(grid: GridSpec) -> Observable:
     return Observable(np.diag(grid.points()))
 
 
+def _momentum_matrix(grid: GridSpec) -> np.ndarray:
+    # P = ifft diag(k) fft is circulant: column l is ifft(k) rolled by l
+    n = grid.n_points
+    first = np.fft.ifft(grid.wavenumbers())
+    return first[(np.arange(n)[:, None] - np.arange(n)) % n]
+
+
 def momentum_operator(grid: GridSpec) -> Observable:
     """P = -i d/dq as periodic spectral differentiation.
 
-    Diagonal in the discrete Fourier basis with angular wavenumbers
-    2 pi k / (2L), k in [-n/2, n/2); Hermitian because the wavenumbers
-    are real.
+    Diagonal in the discrete Fourier basis with the angular wavenumbers
+    of ``grid.wavenumbers()``; Hermitian because the wavenumbers are
+    real.
     """
-    n = grid.n_points
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
-    p = np.fft.ifft(k[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
-    return Observable(p)
+    return Observable(_momentum_matrix(grid))
 
 
 def _gaussian_amps(grid: GridSpec) -> np.ndarray:
@@ -94,19 +110,94 @@ def _gaussian_amps(grid: GridSpec) -> np.ndarray:
     return (2.0 * np.pi) ** (-0.25) * np.exp(-q * q / 4.0)
 
 
-def gaussian_grid_meter(grid: GridSpec, rho: float) -> MeterSpec:
+class _DenseView:
+    """The n x n matrix of a grid operator, built on the first read of
+    ``entries`` and read-only. The meter's own operations never read it;
+    it is there for callers that want the matrix itself."""
+
+    def __init__(self, dim: int, build):
+        self.dim = dim
+        self._build = build
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        m = self._build()
+        m.setflags(write=False)
+        return m
+
+
+@dataclass(frozen=True, eq=False)
+class GridMeter(MeterSpec):
+    """The Gaussian meter on a Fourier grid, applied without n x n matrices.
+
+    B = Q multiplies by the grid points, which are distinct and ascending,
+    so each point is its own readout branch. P is applied with one FFT
+    pair, and G = P + rho Q evolves by the split step
+    exp(-it(P + rho Q)) = e^{i t^2 rho/2} e^{-it rho Q} e^{-itP}, exact
+    in the continuum, where [Q, P] = i; on the grid it matches the dense
+    exponential to roundoff while the state stays resolved. ``B`` and
+    ``G`` are dense views, built only when their ``entries`` are read.
+    """
+
+    grid: GridSpec
+    rho: float
+    m: StateVector = field(init=False)
+    B: _DenseView = field(init=False)
+    G: _DenseView = field(init=False)
+
+    def __post_init__(self):
+        grid, rho, n = self.grid, self.rho, self.grid.n_points
+        q = grid.points()
+        q.setflags(write=False)          # handed out as the branch values
+        init = partial(object.__setattr__, self)
+        init("_q", q)
+        init("_k", grid.wavenumbers())
+        init("m", StateVector(_gaussian_amps(grid)))
+        init("B", _DenseView(n, lambda: np.diag(q.astype(complex))))
+        init("G", _DenseView(n, lambda: _momentum_matrix(grid)
+                             + np.diag(rho * q)))
+
+    def apply_P(self, x: np.ndarray) -> np.ndarray:
+        """P along the last axis of x."""
+        return np.fft.ifft(self._k * np.fft.fft(x))
+
+    def apply_B(self, x: np.ndarray) -> np.ndarray:
+        return self._q * x
+
+    def apply_G(self, x: np.ndarray) -> np.ndarray:
+        return self.apply_P(x) + self.rho * self._q * x
+
+    def evolve(self, t, v: np.ndarray) -> np.ndarray:
+        """exp(-itG) v along the last axis of v; an array t broadcasts
+        against v's leading axes, one time per row."""
+        t = np.asarray(t, dtype=float)
+        kicked = np.fft.ifft(np.exp(-1j * t * self._k) * np.fft.fft(v))
+        return np.exp(1j * t * (0.5 * t - self._q) * self.rho) * kicked
+
+    def couple(self, a: Observable, s: StateVector, eps: float) -> np.ndarray:
+        # sum_j P_j s (x) exp(-i eps alpha_j G) m: one evolved meter row
+        # per eigenvalue of A, recombined in A's eigenbasis
+        dec = eig_hermitian(a)
+        v = dec.eigenvectors
+        rows = self.evolve(eps * dec.eigenvalues[:, None], self.m.amps)
+        return v @ ((v.conj().T @ s.amps)[:, None] * rows)
+
+    def readout(self, r: np.ndarray):
+        # r is already in B's eigenbasis, and every branch is one point
+        return self._q, r, lambda x: x
+
+
+def gaussian_grid_meter(grid: GridSpec, rho: float) -> GridMeter:
     """Gaussian meter state read out in position, coupled through P + rho Q.
 
     The continuum moments are <m, Bm> = 0 and <m, BGm> = rho + i/2; on an
     adequate grid (defaults: n = 1024, L = 20) the discretization error
     sits at the 1e-10 level. Coarse or narrow grids surface as a
-    CalibrationError.
+    CalibrationError. The meter works with length-n vectors and FFTs
+    (see GridMeter), so building and using it never forms an n x n
+    matrix.
     """
-    rho = float(rho)
-    m = StateVector(_gaussian_amps(grid))
-    b = position_operator(grid)
-    g = Observable(momentum_operator(grid).entries + rho * b.entries)
-    meter = MeterSpec(m=m, B=b, G=g)
+    meter = GridMeter(grid, float(rho))
     try:
         verify_calibration(meter)
     except CalibrationError as exc:

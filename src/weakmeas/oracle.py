@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Observable, StateVector, eig_hermitian
+from .hilbert import Observable, StateVector
 from .protocol import (
     EMPTY_PROB,
     EmptyPostselectionError,
@@ -83,20 +83,17 @@ class MonteCarloRun:
 def _branch_tables(setup: WeakSetup, eps: float):
     """Per-eigenspace tables: eigenvalue, marginal prob, joint success prob.
 
-    Column j of C = r V* holds the branch amplitudes along B's j-th
+    Column j of C holds the branch amplitudes of r(eps) along B's j-th
     eigenvector, one per system index, and f^dagger C their postselected
     components; each probability is a group sum of squared moduli.
     """
     if eps <= 0:
         raise ValueError("outcome statistics require eps > 0")
-    r = coupled_state(setup, eps)
-    dec = eig_hermitian(setup.meter.B)
-    # conjugate the small state, not the n x n eigenvector matrix
-    c = (r.conj() @ dec.eigenvectors).conj()
+    values, c, group_sum = setup.meter.readout(coupled_state(setup, eps))
     w = setup.f.amps.conj() @ c
-    marginal = dec.group_sum((np.abs(c) ** 2).sum(axis=0))
-    joint = dec.group_sum(np.abs(w) ** 2)
-    return dec.group_values, marginal, joint
+    marginal = group_sum((np.abs(c) ** 2).sum(axis=0))
+    joint = group_sum(np.abs(w) ** 2)
+    return values, marginal, joint
 
 
 def exact_outcome_distribution(setup: WeakSetup, eps: float) -> OutcomeTable:

@@ -9,7 +9,10 @@ expression, and measures how much the procedure disturbs the system.
 
 All composite-space arithmetic is done on the (dim_S, dim_M) amplitude
 array of the coupled state, so no operator on the full product space is
-ever materialized; grid meters with a few thousand points stay cheap.
+ever materialized. The protocol asks a meter only to apply B and G, to
+couple a system state to it, and to name its readout branches
+(MeterSpec's methods), so a meter with structure, such as the
+Fourier-grid meter, never forms a dim_M x dim_M matrix.
 """
 
 from __future__ import annotations
@@ -62,6 +65,10 @@ class MeterSpec:
     separate, explicit check (:func:`verify_calibration`) because
     deliberately mis-calibrated meters are legitimate probes of the
     general readout formula.
+
+    The methods are everything the protocol and the oracles ask of a
+    meter. Here they use the dense matrices; a meter with structure
+    overrides them (meters.GridMeter).
     """
 
     m: StateVector
@@ -78,6 +85,32 @@ class MeterSpec:
     @property
     def dim_m(self) -> int:
         return self.m.dim
+
+    def apply_B(self, x: np.ndarray) -> np.ndarray:
+        """B along the last axis of x: a meter vector, or a coupled
+        state's (dim_S, dim_M) array."""
+        b = self.B.entries
+        return b @ x if x.ndim == 1 else x @ b.T
+
+    def apply_G(self, x: np.ndarray) -> np.ndarray:
+        """G applied to a meter vector."""
+        return self.G.entries @ x
+
+    def couple(self, a: Observable, s: StateVector, eps: float) -> np.ndarray:
+        """exp(-i eps (A (x) G)) (s (x) m) as a (dim_S, dim_M) array."""
+        return evolve_coupling(a, self.G, eps, np.outer(s.amps, self.m.amps))
+
+    def readout(self, r: np.ndarray):
+        """The readout branches of a coupled state r.
+
+        Returns the eigenvalue of each eigenspace of B, r's amplitudes
+        along B's eigenvectors (its last axis), and the function that sums
+        such a last axis over each eigenspace.
+        """
+        dec = eig_hermitian(self.B)
+        # conjugate the small state, not the n x n eigenvector matrix
+        c = (r.conj() @ dec.eigenvectors).conj()
+        return dec.group_values, c, dec.group_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +192,7 @@ class WeakValueReport:
 def coupling_moment(meter: MeterSpec) -> complex:
     """The moment <m, BGm> that controls both gain and weak values."""
     return complex(np.vdot(meter.m.amps,
-                           meter.B.entries @ (meter.G.entries @ meter.m.amps)))
+                           meter.apply_B(meter.apply_G(meter.m.amps))))
 
 
 def verify_calibration(meter: MeterSpec) -> None:
@@ -168,7 +201,7 @@ def verify_calibration(meter: MeterSpec) -> None:
     Condition 1: <m, Bm> = 0 (the meter initially reads zero).
     Condition 2: 2 Im<m, BGm> = 1 (unit gain).
     """
-    read = complex(np.vdot(meter.m.amps, meter.B.entries @ meter.m.amps))
+    read = complex(np.vdot(meter.m.amps, meter.apply_B(meter.m.amps)))
     if abs(read) > CAL_READ_TOL:
         raise CalibrationError(
             f"meter does not read zero initially: <m,Bm> = {read:.3e}"
@@ -189,8 +222,7 @@ def coupled_state(setup: WeakSetup, eps: float) -> np.ndarray:
     """
     if eps < 0:
         raise ValueError("coupling strength eps must be nonnegative")
-    start = np.outer(setup.s.amps, setup.meter.m.amps)
-    return evolve_coupling(setup.A, setup.meter.G, eps, start)
+    return setup.meter.couple(setup.A, setup.s, eps)
 
 
 def _real_part(value: complex, what: str) -> float:
@@ -207,7 +239,7 @@ def meter_reading(setup: WeakSetup, eps: float) -> float:
         raise ValueError("meter reading requires eps > 0")
     r = coupled_state(setup, eps)
     # (I (x) B) acts on the meter index of each row
-    val = complex(np.vdot(r, r @ setup.meter.B.entries.T))
+    val = complex(np.vdot(r, setup.meter.apply_B(r)))
     return _real_part(val, "meter reading") / eps
 
 
@@ -284,7 +316,7 @@ def conditional_expectation(setup: WeakSetup, eps: float) -> float:
         raise EmptyPostselectionError(
             f"postselection probability {den:.3e} is numerically zero"
         )
-    num = complex(np.vdot(w, setup.meter.B.entries @ w))
+    num = complex(np.vdot(w, setup.meter.apply_B(w)))
     return _real_part(num, "conditional reading") / den
 
 

@@ -121,12 +121,13 @@ def eigenspaces(dec):
         yield value, dec.eigenvectors[:, lo:hi]
 
 
-def branch_tables(setup, eps):
+def branch_tables(setup, eps, b=None):
     """Meter eigenvalue, Born probability and joint probability with
-    postselection of each readout branch of r(eps)."""
+    postselection of each readout branch of r(eps), for the readout
+    Observable b (default: the meter's B)."""
     r = coupled_state(setup, eps)
     rows = []
-    for value, vg in eigenspaces(eig_hermitian(setup.meter.B)):
+    for value, vg in eigenspaces(eig_hermitian(b or setup.meter.B)):
         branch = r @ vg.conj()               # eigenspace coordinates
         w = setup.f.amps.conj() @ branch     # postselected meter component
         rows.append((value, np.vdot(branch, branch).real,
@@ -145,17 +146,18 @@ def projective_tables(a, s, f):
     return tuple(np.array(col) for col in zip(*rows))
 
 
-def branch_disturbance(setup, eps):
+def branch_disturbance(setup, eps, b=None):
     """Disturbance by simulating the readout branch by branch.
 
     Project r(eps) onto each eigenspace of I (x) B, normalize, take the
     partial trace over the meter, and mix the branches with their Born
     weights. Returns the trace distance between that post-measurement
-    system state and P_s.
+    system state and P_s. b is the readout Observable (default: the
+    meter's B).
     """
     r = coupled_state(setup, eps)
     post = np.zeros((setup.dim_s, setup.dim_s), dtype=complex)
-    for _, vg in eigenspaces(eig_hermitian(setup.meter.B)):
+    for _, vg in eigenspaces(eig_hermitian(b or setup.meter.B)):
         # (I (x) P_Q) r, kept in the eigenspace coordinates of the branch
         branch = r @ vg.conj()
         weight = float(np.vdot(branch, branch).real)

@@ -302,6 +302,51 @@ class TestAavGridScenario:
         assert abs(summary["grid_minus_qubit_closed_form"]) <= 1e-6
         assert abs(row.wv_numeric - row.wv_closed) <= 1e-4
 
+    def test_qubit_config_is_measured_with_the_grid_meter(self, capsys):
+        # the scenario builds its grid meter from the config's grid fields
+        # whatever the meter kind, so the qubit presets run it too
+        assert main(["aav-grid", "--preset", "nonunique-rho50",
+                     "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        summary = report["summary"]
+        assert summary["coupling_moment_error"] <= 1e-8
+        assert abs(summary["grid_minus_qubit_closed_form"]) <= 1e-6
+        row = report["rows"][0]
+        assert row["wv_closed"] == pytest.approx(100.0, abs=1e-6)
+        assert abs(row["wv_numeric"] - row["wv_closed"]) <= 1e-4 * 100.0
+
+
+class TestGridScenariosStayMatrixFree:
+    @pytest.mark.parametrize("scenario", ["weak-value", "sweep-rho",
+                                          "limit-check", "sample",
+                                          "disturbance", "aav-grid",
+                                          "compare"])
+    def test_dense_views_are_never_built(self, scenario, tmp_path,
+                                         monkeypatch):
+        from weakmeas import cli
+        built = []
+
+        def recording(grid, rho):
+            meter = real(grid, rho)
+            built.append(meter)
+            return meter
+
+        real = cli.gaussian_grid_meter
+        monkeypatch.setattr(cli, "gaussian_grid_meter", recording)
+        data = {**preset("nonunique-rho50").to_dict(),
+                "meter": {"kind": "grid", "rho": -37.5},
+                "mc": {"n_trials": 20_000, "seed": 3}}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "report.json"
+        assert main([scenario, "--config", str(path), "--out", str(out),
+                     "--format", "json"]) == 0
+        assert built
+        for meter in built:
+            # the views cache their matrix in the instance dict once read
+            assert "entries" not in vars(meter.B)
+            assert "entries" not in vars(meter.G)
+
 
 class TestCompareScenario:
     def test_summary_structure(self):
@@ -477,6 +522,12 @@ class TestMainEntry:
             path = tmp_path / f"wrong{i}.json"
             path.write_text(json.dumps(data))
             cases.append(["weak-value", "--config", str(path)])
+        # a grid too large to allocate is refused before anything is built
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({**generic_config().to_dict(),
+                                    "meter": {"kind": "grid",
+                                              "n_points": 2 ** 40}}))
+        cases.append(["weak-value", "--config", str(huge)])
         for argv in cases:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from weakmeas.hilbert import StateVector
+from weakmeas.hilbert import Observable, StateVector, evolve_coupling
 from weakmeas.meters import (
     DEFAULT_HALF_WIDTH,
     DEFAULT_N_POINTS,
+    MAX_N_POINTS,
     GridSpec,
     chirped_gaussian_state,
     gaussian_grid_meter,
@@ -12,11 +13,16 @@ from weakmeas.meters import (
     position_operator,
     qubit_meter,
 )
+from weakmeas.oracle import _branch_tables
 from weakmeas.protocol import (
     CalibrationError,
+    WeakSetup,
+    coupled_state,
     coupling_moment,
     verify_calibration,
 )
+
+import reference
 
 
 def moment(v, op, w=None):
@@ -70,6 +76,12 @@ class TestGridSpec:
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
             GridSpec(256, 0.0)
+
+    def test_rejects_oversized_grid(self):
+        GridSpec(MAX_N_POINTS, 20.0)
+        for n in (2 * MAX_N_POINTS, 2 ** 40):
+            with pytest.raises(ValueError):
+                GridSpec(n, 20.0)
 
 
 class TestPositionOperator:
@@ -129,6 +141,83 @@ class TestGaussianGridMeter:
     def test_coarse_narrow_grid_fails_calibration(self):
         with pytest.raises(CalibrationError):
             gaussian_grid_meter(GridSpec(128, 4.0), 0.0)
+
+
+def random_state(rng, dim):
+    return StateVector(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+def random_hermitian(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return Observable(m + m.conj().T)
+
+
+class TestGridMeterAgainstDenseViews:
+    """The matrix-free grid meter against dense linear algebra on its own
+    n x n views. The split step and eigh agree to a few 1e-14 here."""
+
+    @pytest.mark.parametrize("grid", [GridSpec(256, 12.0),
+                                      GridSpec.default()])
+    def test_evolve_matches_spectral_exponential(self, grid):
+        for rho in (-50.0, -20.0, 0.0, 3.0, 50.0):
+            meter = gaussian_grid_meter(grid, rho)
+            g = Observable(meter.G.entries)
+            for t in (6.25e-4, 1e-2, 0.1, 0.3):
+                for signed in (t, -t):
+                    got = meter.evolve(signed, meter.m.amps)
+                    want = reference.evolve(g, signed, meter.m)
+                    assert np.max(np.abs(got - want)) <= 1e-12, (rho, signed)
+
+    def test_apply_g_matches_dense_view(self):
+        rng = np.random.default_rng(211)
+        grid = GridSpec(256, 12.0)
+        for rho in (-20.0, 3.0):
+            meter = gaussian_grid_meter(grid, rho)
+            v = random_state(rng, grid.n_points).amps
+            np.testing.assert_allclose(meter.apply_G(v),
+                                       meter.G.entries @ v, atol=1e-12)
+            np.testing.assert_allclose(meter.apply_B(v),
+                                       meter.B.entries @ v, atol=0)
+
+    def test_coupled_state_matches_evolve_coupling(self):
+        rng = np.random.default_rng(212)
+        grid = GridSpec(256, 12.0)
+        for rho in (-50.0, 3.0, 50.0):
+            meter = gaussian_grid_meter(grid, rho)
+            g = Observable(meter.G.entries)
+            for dim in (2, 3):
+                setup = WeakSetup(random_hermitian(rng, dim),
+                                  random_state(rng, dim),
+                                  random_state(rng, dim), meter)
+                for eps in (1e-2, 6.25e-4):
+                    want = evolve_coupling(
+                        setup.A, g, eps,
+                        np.outer(setup.s.amps, meter.m.amps))
+                    got = coupled_state(setup, eps)
+                    assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_branch_tables_match_dense_readout(self):
+        rng = np.random.default_rng(213)
+        grid = GridSpec(256, 12.0)
+        for rho in (-20.0, 3.0):
+            meter = gaussian_grid_meter(grid, rho)
+            readout = Observable(meter.B.entries)
+            setup = WeakSetup(random_hermitian(rng, 2), random_state(rng, 2),
+                              random_state(rng, 2), meter)
+            for eps in (1e-2, 6.25e-4):
+                got = _branch_tables(setup, eps)
+                want = reference.branch_tables(setup, eps, readout)
+                assert len(got[0]) == grid.n_points
+                for g, w in zip(got, want):
+                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
+
+    def test_dense_views_are_built_on_first_read(self):
+        meter = gaussian_grid_meter(GridSpec(128, 10.0), 1.0)
+        assert "entries" not in vars(meter.G)
+        g = meter.G.entries
+        assert g is meter.G.entries
+        assert not g.flags.writeable
+        assert g.shape == (128, 128)
 
 
 class TestChirpedGaussianState:

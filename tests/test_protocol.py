@@ -506,8 +506,9 @@ class TestDisturbance:
             setup = WeakSetup(random_hermitian(rng, 2), random_state(rng, 2),
                               random_state(rng, 2),
                               gaussian_grid_meter(grid, rho))
+            readout = Observable(setup.meter.B.entries)
             for eps in self.AGREE_EPS:
-                want = reference.branch_disturbance(setup, eps)
+                want = reference.branch_disturbance(setup, eps, readout)
                 assert disturbance(setup, eps) == pytest.approx(want,
                                                                 rel=1e-9)
 
