@@ -13,8 +13,8 @@ from weakmeas import (
     StateVector,
     WeakSetup,
     coupling_moment,
+    eps_sweep,
     expectation,
-    meter_reading,
     qubit_meter,
     unconditional_limit,
 )
@@ -38,12 +38,12 @@ def main():
     target = expectation(a, s)
     print(f"\nsystem average <s, As> = {target:.6f}")
     print(f"{'eps':>10}  {'reading/eps':>14}  {'error':>10}")
-    sched = EpsSchedule.default()
-    for eps in sched.eps_values:
-        reading = meter_reading(setup, eps)
+    # one coupled state per eps; every reading below comes from this record
+    sweep = eps_sweep(setup, EpsSchedule.default())
+    for eps, reading in zip(sweep.eps_values, sweep.readings):
         print(f"{eps:>10.2e}  {reading:>14.8f}  {abs(reading - target):>10.2e}")
 
-    limit = unconditional_limit(setup, sched)
+    limit = unconditional_limit(sweep)
     print(f"\nextrapolated eps -> 0 limit = {limit:.12f}")
     print(f"difference from <s, As>     = {abs(limit - target):.2e}")
 

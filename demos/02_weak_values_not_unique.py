@@ -14,11 +14,12 @@ from weakmeas import (
     StateVector,
     WeakSetup,
     aav_complex_weak_value,
+    eps_sweep,
     projective_conditional_expectation,
     qubit_meter,
     traditional_weak_value,
     weak_value_closed_form,
-    weak_value_numeric,
+    weak_value_extrapolation,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,7 +41,7 @@ def main():
     for rho in (-50.0, -5.0, 0.0, 5.0, 50.0):
         setup = WeakSetup(a, s, f, qubit_meter(rho))
         closed = weak_value_closed_form(setup)
-        numeric = weak_value_numeric(setup)
+        numeric = weak_value_extrapolation(eps_sweep(setup)).limit
         print(f"{rho:>8.1f}  {closed:>12.6f}  {numeric:>16.10f}")
 
     print("\nthe reading is 2 rho: any real number is reachable by dialing")

@@ -17,12 +17,13 @@ from weakmeas import (
     WeakSetup,
     chirped_gaussian_state,
     coupling_moment,
+    eps_sweep,
     gaussian_grid_meter,
     momentum_operator,
     position_operator,
     qubit_meter,
     weak_value_closed_form,
-    weak_value_numeric,
+    weak_value_extrapolation,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -57,7 +58,8 @@ def main():
     print(f"\nweak value at rho = {rho}")
     print(f"  grid meter closed form  = {weak_value_closed_form(grid_setup):.12f}")
     print(f"  qubit meter closed form = {weak_value_closed_form(qubit_setup):.12f}")
-    print(f"  grid meter numeric      = {weak_value_numeric(grid_setup):.8f}")
+    numeric = weak_value_extrapolation(eps_sweep(grid_setup)).limit
+    print(f"  grid meter numeric      = {numeric:.8f}")
     print("\nsame moment, same reading: 1024 grid points and a two-level")
     print("meter are interchangeable for this protocol.")
 

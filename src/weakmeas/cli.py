@@ -37,6 +37,7 @@ from .oracle import exact_outcome_distribution, monte_carlo_run, projective_A_or
 from .protocol import (
     DEFAULT_EPS,
     EpsSchedule,
+    EpsSweep,
     MeterSpec,
     UndefinedWeakValueError,
     WeakSetup,
@@ -44,8 +45,7 @@ from .protocol import (
     aav_complex_weak_value,
     coupling_moment,
     disturbance,
-    meter_reading,
-    richardson_limit,
+    eps_sweep,
     unconditional_limit,
     weak_value_closed_form,
     weak_value_report,
@@ -425,11 +425,12 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
-def _weak_value_fields(setup: WeakSetup, sched: EpsSchedule) -> dict:
-    """The weak-value column family for one setup, undefined-safe."""
+def _weak_value_fields(sweep: EpsSweep) -> dict:
+    """The weak-value column family for one sweep, undefined-safe."""
     try:
-        report = weak_value_report(setup, sched)
+        report = weak_value_report(sweep)
     except UndefinedWeakValueError:
+        setup = sweep.setup
         return {"projective_cond": _projective_or_none(setup.A, setup.s,
                                                        setup.f),
                 "status": STATUS_UNDEFINED}
@@ -445,8 +446,9 @@ def _weak_value_fields(setup: WeakSetup, sched: EpsSchedule) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scenarios: each builds its setup once and returns (rows, summary); the
-# summary goes into JSON reports only
+# scenarios: each builds its setup once, sweeps the eps schedule at most
+# once per setup, and returns (rows, summary); the summary goes into JSON
+# reports only
 
 
 def _clean(obj):
@@ -464,7 +466,7 @@ def run_weak_value(config: ExperimentConfig):
     """Every weak-value notion for one setup, side by side."""
     setup = config.setup()
     row = ResultRow(scenario="weak-value", rho=config.meter.rho,
-                    **_weak_value_fields(setup, config.schedule()))
+                    **_weak_value_fields(eps_sweep(setup, config.schedule())))
     return [row], {
         "closed_minus_numeric": None
         if row.wv_numeric is None or row.wv_closed is None
@@ -483,7 +485,7 @@ def run_sweep_rho(config: ExperimentConfig):
     setups = [base] + [replace(base, meter=config.meter_spec(rho))
                        for rho in rhos[1:]]
     rows = [ResultRow(scenario="sweep-rho", rho=rho,
-                      **_weak_value_fields(setup, sched))
+                      **_weak_value_fields(eps_sweep(setup, sched)))
             for rho, setup in zip(rhos, setups)]
     ratio = aav_complex_weak_value(base.A, base.s, base.f)
     summary = {"aav_imag": ratio.imag, "expected_slope": 2.0 * ratio.imag}
@@ -500,18 +502,18 @@ def run_sweep_rho(config: ExperimentConfig):
 def run_limit_check(config: ExperimentConfig):
     """Unconditional meter readings per eps, then the extrapolated limit."""
     setup = config.setup()
-    eps_values = config.schedule().eps_values
+    sweep = eps_sweep(setup, config.schedule())
+    eps_values = sweep.eps_values
     target = expectation(setup.A, setup.s)
-    readings = [meter_reading(setup, e) for e in eps_values]
-    limit = richardson_limit(eps_values, readings).limit
+    limit = unconditional_limit(sweep)
     rows = [
         ResultRow(scenario="limit-check", rho=config.meter.rho, eps=e,
                   wv_numeric=r, wv_closed=target)
-        for e, r in zip(eps_values, readings)
+        for e, r in zip(eps_values, sweep.readings)
     ]
     rows.append(ResultRow(scenario="limit-check", rho=config.meter.rho,
                           wv_numeric=limit, wv_closed=target))
-    errs = [abs(r - target) for r in readings]
+    errs = [abs(r - target) for r in sweep.readings]
     orders = [math.log(d1 / d2) / math.log(e1 / e2)
               for e1, e2, d1, d2 in zip(eps_values, eps_values[1:],
                                         errs, errs[1:])
@@ -555,11 +557,11 @@ def run_sample(config: ExperimentConfig):
 
 def run_disturbance(config: ExperimentConfig):
     """How hard the readout kicks the system, across the eps schedule."""
-    setup = config.setup()
+    sweep = eps_sweep(config.setup(), config.schedule())
     rows = [
         ResultRow(scenario="disturbance", rho=config.meter.rho, eps=e,
-                  disturbance=disturbance(setup, e))
-        for e in config.schedule().eps_values
+                  disturbance=d)
+        for e, d in zip(sweep.eps_values, disturbance(sweep))
     ]
     slopes = [r.disturbance / r.eps for r in rows]
     ratios = [b / a for a, b in zip(slopes, slopes[1:]) if a > 0]
@@ -579,7 +581,7 @@ def run_aav_grid(config: ExperimentConfig):
     meter = gaussian_grid_meter(grid, rho)
     setup = WeakSetup(config.A, config.s, config.f, meter)
     row = ResultRow(scenario="aav-grid", rho=rho,
-                    **_weak_value_fields(setup, config.schedule()))
+                    **_weak_value_fields(eps_sweep(setup, config.schedule())))
     m = meter.m.amps
     read = complex(np.vdot(m, meter.apply_B(m)))      # B = Q
     mom = coupling_moment(meter)
@@ -612,7 +614,7 @@ def run_compare(config: ExperimentConfig):
     Monte Carlo run, and a sampled projective measurement.
     """
     setup = config.setup()
-    sched = config.schedule()
+    sweep = eps_sweep(setup, config.schedule())
     eps = config.eps_values[0]
     run = monte_carlo_run(setup, eps, config.mc.n_trials, config.mc.seed)
     est = run.estimate
@@ -625,10 +627,10 @@ def run_compare(config: ExperimentConfig):
         mc_mean=None if mc_mean is None else mc_mean / eps,
         mc_stderr=None if mc_err is None else mc_err / eps,
         mc_n_success=est.n_success,
-        **_weak_value_fields(setup, sched),
+        **_weak_value_fields(sweep),
     )
     analytic = expectation(setup.A, setup.s)
-    uncond = unconditional_limit(setup, sched)
+    uncond = unconditional_limit(sweep)
     counts = run.counts.sum(axis=1)
     n = counts.sum()
     b = np.asarray(run.b_values)

@@ -1,9 +1,9 @@
 """Finite-dimensional complex Hilbert space primitives.
 
 States, Hermitian observables, spectral decompositions, the coupled
-evolution exp(-i eps (A (x) G)), density matrices and the trace
-distance. Everything here is immutable after construction and safe to
-share across threads.
+evolution exp(-i eps (A (x) G)), the real part of an expectation
+value, and the trace distance. Everything here is immutable after
+construction and safe to share across threads.
 
 A coupled system-meter state is a (dim_S, dim_M) array of amplitudes:
 row i holds the meter amplitudes that go with system basis state i, so
@@ -18,13 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Numerical contracts, shared by the test suite.
-NORM_TOL = 1e-12          # normalized-state norm deviation
 HERM_RTOL = 1e-10         # Hermiticity defect relative to max entry
-RECON_TOL = 1e-10         # spectral reconstruction, per entry
 DEGEN_RTOL = 1e-9         # eigenvalue grouping, relative to spectral radius
-TRACE_TOL = 1e-10         # density matrix trace deviation
-EIG_FLOOR = -1e-10        # density matrix minimum eigenvalue
-IMAG_TOL = 1e-10          # residual imaginary part in expectations
+IMAG_TOL = 1e-10          # imaginary residue of an expectation, relative
 _ZERO_NORM = 1e-15        # below this a vector cannot be normalized
 
 
@@ -150,40 +146,6 @@ def eig_hermitian(a: Observable) -> SpectralDecomposition:
     return dec
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Positive trace-1 operator. Validated at construction."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __init__(self, entries):
-        m = np.array(entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
-        defect = float(np.max(np.abs(m - m.conj().T)))
-        if defect > HERM_RTOL * scale and defect > 0.0:
-            raise HermiticityError(
-                f"density matrix is not Hermitian: defect {defect:.3e}"
-            )
-        m = (m + m.conj().T) / 2.0
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr!r} is not 1")
-        lo = float(np.min(np.linalg.eigvalsh(m)))
-        if lo < EIG_FLOOR:
-            raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "dim", m.shape[0])
-
-    @classmethod
-    def from_state(cls, v: StateVector) -> "DensityMatrix":
-        a = v.amps / np.linalg.norm(v.amps)
-        return cls(np.outer(a, a.conj()))
-
-
 def evolve_coupling(a: Observable, g: Observable, eps: float,
                     r: np.ndarray) -> np.ndarray:
     """Apply exp(-i*eps*(A (x) G)) to a (dim_S, dim_M) coupled state.
@@ -212,19 +174,28 @@ def expectation(a: Observable, v: StateVector) -> float:
         raise DimensionMismatchError(
             f"operator dim {a.dim} != state dim {v.dim}"
         )
-    raw = complex(np.vdot(v.amps, a.entries @ v.amps))
-    if abs(raw.imag) > IMAG_TOL:
+    return real_part(complex(np.vdot(v.amps, a.entries @ v.amps)),
+                     "expectation")
+
+
+def real_part(value: complex, what: str) -> float:
+    """The real part of an expectation value of a Hermitian operator.
+
+    The imaginary part is roundoff that scales with the operator, so a
+    residue above IMAG_TOL * max(1, |Re value|) raises HermiticityError.
+    """
+    if abs(value.imag) > IMAG_TOL * max(1.0, abs(value.real)):
         raise HermiticityError(
-            f"expectation has imaginary residue {raw.imag:.3e}"
+            f"{what} has imaginary residue {value.imag:.3e}"
         )
-    return raw.real
+    return value.real
 
 
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Half the trace norm of rho - sigma."""
-    if rho.dim != sigma.dim:
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Half the trace norm of rho - sigma, two Hermitian matrices."""
+    if rho.shape != sigma.shape:
         raise DimensionMismatchError(
-            f"dims {rho.dim} and {sigma.dim} differ"
+            f"shapes {rho.shape} and {sigma.shape} differ"
         )
-    diff = rho.entries - sigma.entries
+    diff = rho - sigma
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

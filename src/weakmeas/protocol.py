@@ -2,10 +2,11 @@
 
 A system observable A is coupled to a meter through the composite
 Hamiltonian A (x) G for a short time eps, after which the meter
-observable I (x) B is read out. This module prepares the coupled state,
-evaluates unconditional and postselected meter statistics, extrapolates
-the eps -> 0 limits numerically, evaluates every closed-form weak value
-expression, and measures how much the procedure disturbs the system.
+observable I (x) B is read out. The unconditional average and the
+postselected weak value are two readings of one coupled state r(eps):
+:func:`eps_sweep` prepares it once per scheduled eps, and the eps -> 0
+limits, the disturbance and :func:`weak_value_report` all read that
+record. The closed-form weak values need no simulation.
 
 All composite-space arithmetic is done on the (dim_S, dim_M) amplitude
 array of the coupled state, so no operator on the full product space is
@@ -22,14 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
-    DensityMatrix,
     DimensionMismatchError,
-    HermiticityError,
-    IMAG_TOL,
     Observable,
     StateVector,
     eig_hermitian,
     evolve_coupling,
+    real_part,
     trace_distance,
 )
 
@@ -82,10 +81,6 @@ class MeterSpec:
                 f"G={self.G.dim}"
             )
 
-    @property
-    def dim_m(self) -> int:
-        return self.m.dim
-
     def apply_B(self, x: np.ndarray) -> np.ndarray:
         """B along the last axis of x: a meter vector, or a coupled
         state's (dim_S, dim_M) array."""
@@ -129,10 +124,6 @@ class WeakSetup:
                 f"system dims disagree: A={self.A.dim}, s={self.s.dim}, "
                 f"f={self.f.dim}"
             )
-
-    @property
-    def dim_s(self) -> int:
-        return self.A.dim
 
 
 @dataclass(frozen=True)
@@ -202,12 +193,13 @@ def verify_calibration(meter: MeterSpec) -> None:
     Condition 2: 2 Im<m, BGm> = 1 (unit gain).
     """
     read = complex(np.vdot(meter.m.amps, meter.apply_B(meter.m.amps)))
-    if abs(read) > CAL_READ_TOL:
+    # written as "not within" so that a NaN residual fails too
+    if not abs(read) <= CAL_READ_TOL:
         raise CalibrationError(
             f"meter does not read zero initially: <m,Bm> = {read:.3e}"
         )
     gain = 2.0 * coupling_moment(meter).imag
-    if abs(gain - 1.0) > CAL_GAIN_TOL:
+    if not abs(gain - 1.0) <= CAL_GAIN_TOL:
         raise CalibrationError(
             f"meter gain 2 Im<m,BGm> = {gain!r} is not 1"
         )
@@ -223,24 +215,6 @@ def coupled_state(setup: WeakSetup, eps: float) -> np.ndarray:
     if eps < 0:
         raise ValueError("coupling strength eps must be nonnegative")
     return setup.meter.couple(setup.A, setup.s, eps)
-
-
-def _real_part(value: complex, what: str) -> float:
-    if abs(value.imag) > IMAG_TOL * max(1.0, abs(value.real)):
-        raise HermiticityError(
-            f"{what} has imaginary residue {value.imag:.3e}"
-        )
-    return value.real
-
-
-def meter_reading(setup: WeakSetup, eps: float) -> float:
-    """Normalized average meter reading <r, (I (x) B) r> / eps."""
-    if eps <= 0:
-        raise ValueError("meter reading requires eps > 0")
-    r = coupled_state(setup, eps)
-    # (I (x) B) acts on the meter index of each row
-    val = complex(np.vdot(r, setup.meter.apply_B(r)))
-    return _real_part(val, "meter reading") / eps
 
 
 def richardson_limit(eps_values, samples) -> ExtrapolationResult:
@@ -274,52 +248,6 @@ def richardson_limit(eps_values, samples) -> ExtrapolationResult:
                                converged=converged)
 
 
-def unconditional_limit(setup: WeakSetup, sched: EpsSchedule = None) -> float:
-    """Extrapolated eps -> 0 limit of the normalized meter reading.
-
-    For a calibrated meter this equals <s, As>; in general it equals
-    2 Im<m, BGm> * <s, As>.
-    """
-    if sched is None:
-        sched = EpsSchedule.default()
-    samples = [meter_reading(setup, e) for e in sched.eps_values]
-    return richardson_limit(sched.eps_values, samples).limit
-
-
-def _conditional_meter_vector(setup: WeakSetup, eps: float) -> np.ndarray:
-    """Unnormalized meter state <f| r(eps), a dim_M vector.
-
-    (P_f (x) I) r = f (x) (<f| r), so postselected moments of I (x) B
-    reduce to moments of B in this vector.
-    """
-    return setup.f.amps.conj() @ coupled_state(setup, eps)
-
-
-def postselection_probability(setup: WeakSetup, eps: float) -> float:
-    """Probability <r, (P_f (x) I) r> that the postselection succeeds."""
-    w = _conditional_meter_vector(setup, eps)
-    return float(np.vdot(w, w).real)
-
-
-def conditional_expectation(setup: WeakSetup, eps: float) -> float:
-    """E_eps(B | f): mean meter reading given successful postselection.
-
-    Not yet divided by eps; the weak value is the eps -> 0 limit of
-    E_eps(B | f) / eps.
-    """
-    if eps <= 0:
-        raise ValueError("conditional expectation requires eps > 0")
-    _check_overlap(setup.A, setup.s, setup.f)
-    w = _conditional_meter_vector(setup, eps)
-    den = float(np.vdot(w, w).real)
-    if den < EMPTY_PROB:
-        raise EmptyPostselectionError(
-            f"postselection probability {den:.3e} is numerically zero"
-        )
-    num = complex(np.vdot(w, setup.meter.apply_B(w)))
-    return _real_part(num, "conditional reading") / den
-
-
 def _check_overlap(a: Observable, s: StateVector, f: StateVector) -> None:
     if a.dim != s.dim or a.dim != f.dim:
         raise DimensionMismatchError(
@@ -331,20 +259,80 @@ def _check_overlap(a: Observable, s: StateVector, f: StateVector) -> None:
         )
 
 
-def weak_value_extrapolation(setup: WeakSetup,
-                             sched: EpsSchedule = None) -> ExtrapolationResult:
-    """Extrapolate E_eps(B|f)/eps to eps = 0, with an error estimate."""
-    if sched is None:
-        sched = EpsSchedule.default()
-    samples = [conditional_expectation(setup, e) / e
-               for e in sched.eps_values]
-    return richardson_limit(sched.eps_values, samples)
+@dataclass(frozen=True, eq=False)
+class EpsSweep:
+    """The coupled readout r(eps) of one setup, reduced per scheduled eps.
+
+    ``readings`` are the normalized average meter readings
+    <r, (I (x) B) r> / eps; ``moments`` and ``probabilities`` are
+    N = <w, Bw> and D = <w, w> of the postselected meter vector
+    w = <f| r; ``system_states`` are tr_M |r><r| = r r^dagger.
+    """
+
+    setup: WeakSetup
+    eps_values: tuple
+    readings: tuple
+    moments: tuple
+    probabilities: tuple
+    system_states: tuple
+
+    def conditional_expectations(self) -> list:
+        """E_eps(B | f) = N / D at each eps, not yet divided by eps.
+
+        Raises UndefinedWeakValueError when <f, s> vanishes and
+        EmptyPostselectionError when some D is numerically zero.
+        """
+        _check_overlap(self.setup.A, self.setup.s, self.setup.f)
+        out = []
+        for num, den in zip(self.moments, self.probabilities):
+            if den < EMPTY_PROB:
+                raise EmptyPostselectionError(
+                    f"postselection probability {den:.3e} is numerically zero"
+                )
+            out.append(real_part(num, "conditional reading") / den)
+        return out
 
 
-def weak_value_numeric(setup: WeakSetup, sched: EpsSchedule = None) -> float:
-    """The weak value as the protocol actually produces it: simulate the
-    coupled readout at each scheduled eps and extrapolate to zero."""
-    return weak_value_extrapolation(setup, sched).limit
+def eps_sweep(setup: WeakSetup, sched: EpsSchedule = None) -> EpsSweep:
+    """Prepare r(eps) once per scheduled eps and record its readout.
+
+    One coupled state is alive at a time. An undefined or empty
+    postselection is not an error here; the readers that need the
+    conditional value raise.
+    """
+    apply_B = setup.meter.apply_B
+    f_bra = setup.f.amps.conj()
+    eps_values = (sched or EpsSchedule.default()).eps_values
+    readings, moments, probabilities, states = [], [], [], []
+    for eps in eps_values:
+        r = coupled_state(setup, eps)
+        # (P_f (x) I) r = f (x) w, so postselected moments of I (x) B
+        # are moments of B in the meter vector w
+        w = f_bra @ r
+        readings.append(real_part(complex(np.vdot(r, apply_B(r))),
+                                  "meter reading") / eps)
+        moments.append(complex(np.vdot(w, apply_B(w))))
+        probabilities.append(float(np.vdot(w, w).real))
+        states.append(r @ r.conj().T)
+    return EpsSweep(setup, eps_values, tuple(readings), tuple(moments),
+                    tuple(probabilities), tuple(states))
+
+
+def unconditional_limit(sweep: EpsSweep) -> float:
+    """Extrapolated eps -> 0 limit of the normalized meter reading.
+
+    For a calibrated meter this equals <s, As>; in general it equals
+    2 Im<m, BGm> * <s, As>.
+    """
+    return richardson_limit(sweep.eps_values, sweep.readings).limit
+
+
+def weak_value_extrapolation(sweep: EpsSweep) -> ExtrapolationResult:
+    """Extrapolate E_eps(B|f)/eps to eps = 0, with an error estimate: the
+    weak value as the protocol actually produces it."""
+    samples = [c / eps for c, eps in zip(sweep.conditional_expectations(),
+                                          sweep.eps_values)]
+    return richardson_limit(sweep.eps_values, samples)
 
 
 def aav_complex_weak_value(a: Observable, s: StateVector,
@@ -420,8 +408,9 @@ def _projective_or_none(a: Observable, s: StateVector, f: StateVector):
         return None
 
 
-def disturbance(setup: WeakSetup, eps: float) -> float:
-    """How far one full meter readout kicks the system away from s.
+def disturbance(sweep: EpsSweep) -> list:
+    """How far one full meter readout kicks the system away from s, at
+    each eps of the sweep.
 
     Reading out I (x) B and mixing the branches with their Born weights
     leaves the system in sum_Q tr_M[(I (x) P_Q) r r^dagger (I (x) P_Q)].
@@ -429,15 +418,18 @@ def disturbance(setup: WeakSetup, eps: float) -> float:
     tr_M |r><r| whatever B is: the readout basis drops out. Returns the
     trace distance between that state and P_s.
     """
-    r = coupled_state(setup, eps)
-    post = DensityMatrix(r @ r.conj().T)
-    return trace_distance(post, DensityMatrix.from_state(setup.s))
+    s = sweep.setup.s.amps / np.linalg.norm(sweep.setup.s.amps)
+    initial = np.outer(s, s.conj())
+    # both states symmetrized, so eigvalsh sees exact Hermitian input
+    initial = (initial + initial.conj().T) / 2.0
+    return [trace_distance((post + post.conj().T) / 2.0, initial)
+            for post in sweep.system_states]
 
 
-def weak_value_report(setup: WeakSetup,
-                      sched: EpsSchedule = None) -> WeakValueReport:
-    """Evaluate every weak-value notion on one setup, side by side."""
-    ex = weak_value_extrapolation(setup, sched)
+def weak_value_report(sweep: EpsSweep) -> WeakValueReport:
+    """Every weak-value notion of the sweep's setup, side by side."""
+    setup = sweep.setup
+    ex = weak_value_extrapolation(sweep)
     ratio = aav_complex_weak_value(setup.A, setup.s, setup.f)
     return WeakValueReport(
         numeric=ex.limit,

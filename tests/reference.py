@@ -4,10 +4,12 @@ The branch tables and the disturbance walk the eigenspaces one at a
 time, as the physics is usually written down, so the loop-free library
 code can be checked against them. The dense Hilbert-space primitives
 (inner product, product state, operator tensor product, spectral
-evolution, projector, meter partial trace) and the one-trial sampler
-spell out what the library computes in factored or vectorized form.
-They take a StateVector or a plain, possibly unnormalized, amplitude
-array, and return amplitude arrays.
+evolution, projector, validated density matrix, meter partial trace)
+and the one-trial sampler spell out what the library computes in
+factored or vectorized form. They take a StateVector or a plain,
+possibly unnormalized, amplitude array, and return amplitude arrays.
+The single-eps readings prepare their own coupled state, one eps at a
+time, so the library's eps sweep can be checked against them.
 """
 
 from dataclasses import dataclass
@@ -15,17 +17,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from weakmeas.hilbert import (
-    DensityMatrix,
     DimensionMismatchError,
+    HERM_RTOL,
+    HermiticityError,
     Observable,
     StateVector,
     eig_hermitian,
+    real_part,
     trace_distance,
 )
 from weakmeas.oracle import _branch_tables
-from weakmeas.protocol import EMPTY_PROB, coupled_state
+from weakmeas.protocol import (
+    EMPTY_PROB,
+    EmptyPostselectionError,
+    _check_overlap,
+    coupled_state,
+)
 
 _ZERO_NORM = 1e-15        # below this a vector cannot be normalized
+TRACE_TOL = 1e-10         # density matrix trace deviation
+EIG_FLOOR = -1e-10        # density matrix minimum eigenvalue
 
 
 def _amps(v) -> np.ndarray:
@@ -72,6 +83,40 @@ def projector(w) -> Observable:
         raise ValueError("cannot project onto a zero vector")
     a = w / n
     return Observable(np.outer(a, a.conj()))
+
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix:
+    """Positive trace-1 operator. Validated at construction."""
+
+    dim: int
+    entries: np.ndarray
+
+    def __init__(self, entries):
+        m = np.array(entries, dtype=np.complex128)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        scale = float(np.max(np.abs(m))) if m.size else 0.0
+        defect = float(np.max(np.abs(m - m.conj().T)))
+        if defect > HERM_RTOL * scale and defect > 0.0:
+            raise HermiticityError(
+                f"density matrix is not Hermitian: defect {defect:.3e}"
+            )
+        m = (m + m.conj().T) / 2.0
+        tr = float(np.trace(m).real)
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {tr!r} is not 1")
+        lo = float(np.min(np.linalg.eigvalsh(m)))
+        if lo < EIG_FLOOR:
+            raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
+        m.setflags(write=False)
+        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "dim", m.shape[0])
+
+    @classmethod
+    def from_state(cls, v: StateVector) -> "DensityMatrix":
+        a = v.amps / np.linalg.norm(v.amps)
+        return cls(np.outer(a, a.conj()))
 
 
 def partial_trace_meter(rho: DensityMatrix, dim_s: int,
@@ -156,7 +201,7 @@ def branch_disturbance(setup, eps, b=None):
     meter's B).
     """
     r = coupled_state(setup, eps)
-    post = np.zeros((setup.dim_s, setup.dim_s), dtype=complex)
+    post = np.zeros((setup.A.dim, setup.A.dim), dtype=complex)
     for _, vg in eigenspaces(eig_hermitian(b or setup.meter.B)):
         # (I (x) P_Q) r, kept in the eigenspace coordinates of the branch
         branch = r @ vg.conj()
@@ -168,4 +213,39 @@ def branch_disturbance(setup, eps, b=None):
         sigma = (branch @ branch.conj().T) / weight
         post += weight * sigma
     initial = DensityMatrix.from_state(setup.s)
-    return trace_distance(DensityMatrix(post), initial)
+    return trace_distance(DensityMatrix(post).entries, initial.entries)
+
+
+def meter_reading(setup, eps):
+    """Normalized average meter reading <r, (I (x) B) r> / eps at one eps."""
+    if eps <= 0:
+        raise ValueError("meter reading requires eps > 0")
+    r = coupled_state(setup, eps)
+    # (I (x) B) acts on the meter index of each row
+    val = complex(np.vdot(r, setup.meter.apply_B(r)))
+    return real_part(val, "meter reading") / eps
+
+
+def conditional_expectation(setup, eps):
+    """E_eps(B | f) at one eps: the mean meter reading given successful
+    postselection, computed from the meter vector <f| r(eps)."""
+    if eps <= 0:
+        raise ValueError("conditional expectation requires eps > 0")
+    _check_overlap(setup.A, setup.s, setup.f)
+    w = setup.f.amps.conj() @ coupled_state(setup, eps)
+    den = float(np.vdot(w, w).real)
+    if den < EMPTY_PROB:
+        raise EmptyPostselectionError(
+            f"postselection probability {den:.3e} is numerically zero"
+        )
+    num = complex(np.vdot(w, setup.meter.apply_B(w)))
+    return real_part(num, "conditional reading") / den
+
+
+def disturbance(setup, eps):
+    """Trace distance between tr_M |r(eps)><r(eps)| and P_s, both as
+    validated density matrices."""
+    r = coupled_state(setup, eps)
+    post = DensityMatrix(r @ r.conj().T)
+    return trace_distance(post.entries,
+                          DensityMatrix.from_state(setup.s).entries)

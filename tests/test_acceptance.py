@@ -26,14 +26,14 @@ from weakmeas.protocol import (
     EpsSchedule,
     MeterSpec,
     WeakSetup,
-    conditional_expectation,
     disturbance,
+    eps_sweep,
     unconditional_limit,
     weak_value_closed_form,
     weak_value_extrapolation,
 )
 
-from reference import inner
+from reference import conditional_expectation, inner
 
 
 def report(criterion, passed, detail):
@@ -68,7 +68,7 @@ def test_criterion_1_unconditional_limit_matches_average():
     worst = 0.0
     for _ in range(50):
         setup = random_setup(rng)
-        limit = unconditional_limit(setup)
+        limit = unconditional_limit(eps_sweep(setup))
         target = expectation(setup.A, setup.s)
         worst = max(worst, abs(limit - target))
     elapsed = time.monotonic() - start
@@ -82,7 +82,7 @@ def test_criterion_2_numeric_weak_value_matches_closed_form():
     worst = 0.0
     for _ in range(50):
         setup = random_setup(rng, min_overlap=0.1)
-        ex = weak_value_extrapolation(setup, EpsSchedule.default())
+        ex = weak_value_extrapolation(eps_sweep(setup, EpsSchedule.default()))
         closed = weak_value_closed_form(setup)
         worst = max(worst, abs(ex.limit - closed))
     elapsed = time.monotonic() - start
@@ -156,14 +156,16 @@ def test_criterion_6_disturbance_scales_away():
     worst_ratio = None
     for _ in range(10):
         setup = random_setup(rng)
-        slopes = [disturbance(setup, e) / e for e in eps_values]
+        kicks = disturbance(eps_sweep(setup, EpsSchedule(eps_values)))
+        slopes = [d / e for d, e in zip(kicks, eps_values)]
         for a, b in zip(slopes, slopes[1:]):
             ratio = b / a
             if not 0.3 <= ratio <= 3.0:
                 ok = False
             if worst_ratio is None or abs(ratio - 1) > abs(worst_ratio - 1):
                 worst_ratio = ratio
-    tiny = disturbance(random_setup(rng), 1e-4)
+    tiny = disturbance(eps_sweep(random_setup(rng),
+                                 EpsSchedule((1e-4, 5e-5))))[0]
     ok = ok and tiny <= 1e-3
     report(6, ok, f"slope ratios within [0.3, 3] (farthest {worst_ratio:.3f}),"
                   f" d(1e-4) = {tiny:.3e} <= 1e-03")
@@ -210,7 +212,7 @@ def test_criterion_8_miscalibrated_gain_scales_the_limit():
             a = random_hermitian(rng, dim)
             s = random_state(rng, dim)
             setup = WeakSetup(a, s, random_state(rng, dim), meter)
-            limit = unconditional_limit(setup)
+            limit = unconditional_limit(eps_sweep(setup))
             target = c * expectation(a, s)
             worst = max(worst, abs(limit - target))
     report(8, worst <= 1e-6,

@@ -386,6 +386,45 @@ class TestCompareScenario:
         # weak signal is honest only to a few stderr
         assert row.mc_mean == pytest.approx(1.0, abs=5 * row.mc_stderr)
 
+    def test_one_coupled_state_per_eps_plus_one_for_sampling(self,
+                                                              monkeypatch):
+        from weakmeas import oracle, protocol
+        calls = []
+        real = protocol.coupled_state
+
+        def counting(setup, eps):
+            calls.append(eps)
+            return real(setup, eps)
+
+        monkeypatch.setattr(protocol, "coupled_state", counting)
+        monkeypatch.setattr(oracle, "coupled_state", counting)
+        cfg = preset("convexity-contrast")
+        run_scenario(cfg)
+        assert len(calls) == len(cfg.schedule().eps_values) + 1 == 6
+
+
+class TestLargeEntryObservable:
+    """Hermitian A with entries of about 1e7: the imaginary roundoff of
+    <s, As> is about 1e-9, far below the real part, so no scenario may
+    call A non-Hermitian."""
+
+    @pytest.mark.parametrize("scenario", ["weak-value", "limit-check",
+                                          "compare"])
+    def test_scenarios_accept_it(self, scenario, tmp_path, capsys):
+        rng = np.random.default_rng(17)
+        m = 1e7 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        a = (m + m.conj().T) / 2
+        data = {"scenario": scenario,
+                "system": {"A": [[[z.real, z.imag] for z in row]
+                                 for row in a],
+                           "s": [1.0, 2.0, [0.0, 1.0], -1.0],
+                           "f": [1.0, 0.5, 0.0, [0.0, -1.0]]},
+                "mc": {"n_trials": 2000, "seed": 1}}
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(data))
+        assert main([scenario, "--config", str(path)]) == 0
+        assert "error" not in capsys.readouterr().err
+
 
 class TestRendering:
     def test_csv_header_and_blank_cells(self):

@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from weakmeas.hilbert import (
-    DensityMatrix,
     DimensionMismatchError,
     HermiticityError,
     Observable,
@@ -11,10 +10,12 @@ from weakmeas.hilbert import (
     eig_hermitian,
     evolve_coupling,
     expectation,
+    real_part,
     trace_distance,
 )
 
 from reference import (
+    DensityMatrix,
     evolve,
     inner,
     partial_trace_meter,
@@ -393,6 +394,27 @@ class TestExpectation:
             assert dec.eigenvalues[0] - 1e-12 <= x
             assert x <= dec.eigenvalues[-1] + 1e-12
 
+    def test_large_entries_pass(self):
+        # the imaginary roundoff of <v, Av> grows with A's entries, so an
+        # absolute cutoff would reject Hermitian A of scale 1e7
+        rng = np.random.default_rng(82)
+        for _ in range(40):
+            m = 1e7 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            a = Observable((m + m.conj().T) / 2)
+            v = random_state(rng, 4)
+            want = complex(np.vdot(v.amps, a.entries @ v.amps)).real
+            assert expectation(a, v) == want
+
+
+class TestRealPart:
+    def test_residue_is_relative_to_the_real_part(self):
+        assert real_part(complex(1e7, 1e-5), "x") == 1e7
+        assert real_part(complex(0.5, 1e-11), "x") == 0.5
+        with pytest.raises(HermiticityError, match="x has imaginary residue"):
+            real_part(complex(1e7, 1e-2), "x")
+        with pytest.raises(HermiticityError):
+            real_part(complex(0.5, 1e-9), "x")
+
 
 class TestDensityMatrix:
     def test_pure_state(self):
@@ -411,18 +433,19 @@ class TestDensityMatrix:
 class TestTraceDistance:
     def test_identical_states(self):
         rho = DensityMatrix.from_state(E1)
-        assert trace_distance(rho, rho) == pytest.approx(0, abs=1e-15)
+        assert trace_distance(rho.entries, rho.entries) == pytest.approx(
+            0, abs=1e-15)
 
     def test_orthogonal_states(self):
-        d = trace_distance(DensityMatrix.from_state(E1),
-                           DensityMatrix.from_state(E2))
+        d = trace_distance(DensityMatrix.from_state(E1).entries,
+                           DensityMatrix.from_state(E2).entries)
         assert d == pytest.approx(1.0)
 
     def test_matches_nuclear_norm(self):
         rng = np.random.default_rng(91)
         rho = DensityMatrix.from_state(random_state(rng, 5))
         sigma = DensityMatrix.from_state(random_state(rng, 5))
-        got = trace_distance(rho, sigma)
+        got = trace_distance(rho.entries, sigma.entries)
         want = 0.5 * np.linalg.svd(rho.entries - sigma.entries,
                                    compute_uv=False).sum()
         assert got == pytest.approx(want, abs=1e-12)
@@ -431,7 +454,7 @@ class TestTraceDistance:
         # for pure states: sqrt(1 - |<v,w>|^2)
         rng = np.random.default_rng(92)
         v, w = random_state(rng, 4), random_state(rng, 4)
-        got = trace_distance(DensityMatrix.from_state(v),
-                             DensityMatrix.from_state(w))
+        got = trace_distance(DensityMatrix.from_state(v).entries,
+                             DensityMatrix.from_state(w).entries)
         want = np.sqrt(1.0 - abs(inner(v, w)) ** 2)
         assert got == pytest.approx(want, abs=1e-10)

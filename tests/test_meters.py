@@ -142,6 +142,12 @@ class TestGaussianGridMeter:
         with pytest.raises(CalibrationError):
             gaussian_grid_meter(GridSpec(128, 4.0), 0.0)
 
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
+    def test_non_finite_rho_fails_calibration(self, rho):
+        # the coupling moment is nan + nan i; a NaN residual must not pass
+        with pytest.raises(CalibrationError):
+            gaussian_grid_meter(GridSpec.default(), rho)
+
 
 def random_state(rng, dim):
     return StateVector(rng.normal(size=dim) + 1j * rng.normal(size=dim))

@@ -18,13 +18,12 @@ from weakmeas.protocol import (
     EmptyPostselectionError,
     MeterSpec,
     WeakSetup,
-    conditional_expectation,
     projective_conditional_expectation,
     projective_tables,
 )
 
 import reference
-from reference import Outcome, evolve, sample_run
+from reference import Outcome, conditional_expectation, evolve, sample_run
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from weakmeas.hilbert import (
-    DensityMatrix,
     DimensionMismatchError,
     Observable,
     StateVector,
@@ -16,17 +15,16 @@ from weakmeas.protocol import (
     CalibrationError,
     EmptyPostselectionError,
     EpsSchedule,
+    EpsSweep,
     ExtrapolationResult,
     MeterSpec,
     UndefinedWeakValueError,
     WeakSetup,
     aav_complex_weak_value,
-    conditional_expectation,
     coupled_state,
     coupling_moment,
     disturbance,
-    meter_reading,
-    postselection_probability,
+    eps_sweep,
     projective_conditional_expectation,
     richardson_limit,
     traditional_weak_value,
@@ -34,12 +32,12 @@ from weakmeas.protocol import (
     verify_calibration,
     weak_value_closed_form,
     weak_value_extrapolation,
-    weak_value_numeric,
     weak_value_report,
 )
 
 import reference
 from reference import (
+    DensityMatrix,
     evolve,
     partial_trace_meter,
     projector,
@@ -66,6 +64,14 @@ def random_state(rng, n):
 def random_hermitian(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return Observable((m + m.conj().T) / 2)
+
+
+def sweep(setup, *eps_values):
+    return eps_sweep(setup, EpsSchedule(eps_values))
+
+
+def weak_value_numeric(setup):
+    return weak_value_extrapolation(eps_sweep(setup)).limit
 
 
 def random_setup(rng, dim, rho=None):
@@ -204,42 +210,43 @@ class TestCoupledState:
 class TestMeterReading:
     def test_basis_state_reads_eigenvalue(self):
         setup = WeakSetup(Observable(SZ), E1, E1, qubit_meter(0.0))
-        assert meter_reading(setup, 1e-3) == pytest.approx(1.0, abs=5e-3)
+        assert sweep(setup, 1e-3, 5e-4).readings[0] == pytest.approx(
+            1.0, abs=5e-3)
 
     def test_balanced_state_reads_zero(self):
         setup = WeakSetup(Observable(SZ), StateVector([1, 1]),
                           StateVector([1, 1]), qubit_meter(0.0))
-        assert abs(meter_reading(setup, 1e-3)) < 5e-3
+        assert abs(sweep(setup, 1e-3, 5e-4).readings[0]) < 5e-3
 
     def test_error_shrinks_under_halving(self):
         # at least linearly; for this meter the odd error terms cancel,
         # so the observed shrink factor is the quadratic 1/4
         setup = WeakSetup(Observable(SZ), E1, E1, qubit_meter(0.0))
-        errs = [abs(meter_reading(setup, e) - 1.0)
-                for e in (1e-2, 5e-3, 2.5e-3)]
+        errs = [abs(x - 1.0)
+                for x in sweep(setup, 1e-2, 5e-3, 2.5e-3).readings]
         assert errs[1] <= 0.6 * errs[0]
         assert errs[2] <= 0.6 * errs[1]
 
     def test_zero_eps_rejected(self):
         with pytest.raises(ValueError):
-            meter_reading(canonical_setup(0.0), 0.0)
+            sweep(canonical_setup(0.0), 1e-2, 0.0)
 
 
 class TestUnconditionalLimit:
     def test_basis_state(self):
         setup = WeakSetup(Observable(SZ), E1, E1, qubit_meter(0.0))
-        assert abs(unconditional_limit(setup) - 1.0) <= 1e-6
+        assert abs(unconditional_limit(eps_sweep(setup)) - 1.0) <= 1e-6
 
     def test_null_average(self):
         setup = WeakSetup(Observable(SX), CIRC, CIRC, qubit_meter(0.0))
-        assert abs(unconditional_limit(setup)) <= 1e-6
+        assert abs(unconditional_limit(eps_sweep(setup))) <= 1e-6
 
     def test_matches_analytic_average_randomized(self):
         rng = np.random.default_rng(111)
         for _ in range(10):
             setup = random_setup(rng, int(rng.integers(2, 9)))
             want = expectation(setup.A, setup.s)
-            assert abs(unconditional_limit(setup) - want) <= 1e-6
+            assert abs(unconditional_limit(eps_sweep(setup)) - want) <= 1e-6
 
     def test_miscalibrated_gain_scales_limit(self):
         # 2 Im<m, BGm> = c: the limit must be c <s, As>, not <s, As>
@@ -251,47 +258,51 @@ class TestUnconditionalLimit:
             setup = WeakSetup(random_hermitian(rng, 2), random_state(rng, 2),
                               random_state(rng, 2), meter)
             want = c * expectation(setup.A, setup.s)
-            assert abs(unconditional_limit(setup) - want) <= 1e-6
+            assert abs(unconditional_limit(eps_sweep(setup)) - want) <= 1e-6
 
 
 class TestConditionalExpectation:
     def test_tends_to_initial_reading(self):
         setup = canonical_setup(50.0)
         # E_eps(B|f) -> <m, Bm> = 0 as eps -> 0
-        assert abs(conditional_expectation(setup, 1e-6)) < 1e-3
+        got = sweep(setup, 1e-6, 5e-7).conditional_expectations()[0]
+        assert abs(got) < 1e-3
 
     def test_trivial_postselection_recovers_average(self):
         setup = WeakSetup(Observable(SZ), E1, E1, qubit_meter(0.0))
-        assert conditional_expectation(setup, 1e-3) / 1e-3 == pytest.approx(
-            1.0, abs=5e-3)
+        got = sweep(setup, 1e-3, 5e-4).conditional_expectations()[0]
+        assert got / 1e-3 == pytest.approx(1.0, abs=5e-3)
 
     def test_orthogonal_postselection_undefined(self):
         setup = WeakSetup(Observable(SZ), E1, StateVector([0, 1]),
                           qubit_meter(0.0))
+        record = sweep(setup, 1e-3, 5e-4)      # the sweep does not raise
         with pytest.raises(UndefinedWeakValueError):
-            conditional_expectation(setup, 1e-3)
+            record.conditional_expectations()
 
     def test_numerically_empty_postselection(self):
         # overlap 1e-11 passes the orthogonality cutoff but the success
         # probability ~1e-22 is below the empty-condition floor
         f = StateVector([1e-11, 1.0])
         setup = WeakSetup(Observable(SZ), E1, f, qubit_meter(0.0))
+        record = sweep(setup, 1e-3, 5e-4)
         with pytest.raises(EmptyPostselectionError):
-            conditional_expectation(setup, 1e-3)
+            record.conditional_expectations()
 
     def test_postselection_probability_limit_canonical(self):
         # stays within O(eps) of |<f,s>|^2; for this setup it is constant
         setup = canonical_setup(50.0)
         target = abs(np.vdot(setup.f.amps, setup.s.amps)) ** 2
-        for e in (1e-2, 5e-3, 2.5e-3):
-            assert abs(postselection_probability(setup, e) - target) <= e
+        record = sweep(setup, 1e-2, 5e-3, 2.5e-3)
+        for e, p in zip(record.eps_values, record.probabilities):
+            assert abs(p - target) <= e
 
     def test_postselection_probability_limit_generic(self):
         rng = np.random.default_rng(107)
         setup = random_setup(rng, 3)
         target = abs(np.vdot(setup.f.amps, setup.s.amps)) ** 2
-        diffs = [abs(postselection_probability(setup, e) - target)
-                 for e in (1e-2, 5e-3, 2.5e-3)]
+        diffs = [abs(p - target)
+                 for p in sweep(setup, 1e-2, 5e-3, 2.5e-3).probabilities]
         assert diffs[0] <= 1e-2
         assert diffs[1] <= 0.3 * diffs[0] + 1e-12
         assert diffs[2] <= 0.3 * diffs[1] + 1e-12
@@ -349,7 +360,7 @@ class TestWeakValues:
         assert w1 - w2 == pytest.approx(2 * 6.0 * ratio.imag, abs=1e-12)
 
     def test_extrapolation_reports_small_error(self):
-        res = weak_value_extrapolation(canonical_setup(50.0))
+        res = weak_value_extrapolation(eps_sweep(canonical_setup(50.0)))
         assert isinstance(res, ExtrapolationResult)
         assert res.converged
         assert res.error_estimate < 1e-6
@@ -450,27 +461,31 @@ class TestProjectiveConditional:
 
 class TestDisturbance:
     def test_no_coupling_no_disturbance(self):
-        assert disturbance(canonical_setup(50.0), 0.0) <= 1e-12
+        # A = 0 switches the coupling A (x) G off at every eps
+        setup = WeakSetup(Observable(np.zeros((2, 2))), CIRC, E1,
+                          qubit_meter(50.0))
+        assert max(disturbance(eps_sweep(setup))) <= 1e-12
 
     def test_identity_observable_does_not_disturb(self):
         rng = np.random.default_rng(151)
         setup = WeakSetup(Observable(np.eye(2)), random_state(rng, 2),
                           random_state(rng, 2), qubit_meter(1.0))
-        assert disturbance(setup, 0.3) <= 1e-12
+        assert max(disturbance(sweep(setup, 0.3, 0.15))) <= 1e-12
 
     def test_slope_bounded_under_halving(self):
         rng = np.random.default_rng(152)
         for _ in range(5):
             setup = random_setup(rng, 3)
-            slopes = [disturbance(setup, e) / e
-                      for e in (1e-2, 5e-3, 2.5e-3)]
+            record = sweep(setup, 1e-2, 5e-3, 2.5e-3)
+            slopes = [d / e for d, e in zip(disturbance(record),
+                                            record.eps_values)]
             assert 0.3 <= slopes[1] / slopes[0] <= 3.0
             assert 0.3 <= slopes[2] / slopes[1] <= 3.0
 
     def test_small_coupling_small_kick(self):
         rng = np.random.default_rng(153)
         setup = random_setup(rng, 4)
-        assert disturbance(setup, 1e-4) <= 1e-3
+        assert disturbance(sweep(setup, 1e-4, 5e-5))[0] <= 1e-3
 
     def test_matches_partial_trace_of_readout(self):
         # measuring the meter and discarding the record is, after the
@@ -482,8 +497,10 @@ class TestDisturbance:
         r = coupled_state(setup, eps)
         rho_s = partial_trace_meter(DensityMatrix.from_state(StateVector(r)),
                                     3, 2)
-        want = trace_distance(rho_s, DensityMatrix.from_state(setup.s))
-        assert disturbance(setup, eps) == pytest.approx(want, abs=1e-12)
+        want = trace_distance(rho_s.entries,
+                              DensityMatrix.from_state(setup.s).entries)
+        got = disturbance(sweep(setup, eps, eps / 2))[0]
+        assert got == pytest.approx(want, abs=1e-12)
 
     # Both forms carry about 1e-16 of absolute roundoff, so they are
     # compared where the disturbance is at least about 1e-6.
@@ -494,10 +511,10 @@ class TestDisturbance:
         for _ in range(20):
             setup = random_setup(rng, int(rng.integers(2, 5)),
                                  rho=rng.uniform(-50, 50))
-            for eps in self.AGREE_EPS:
+            got = disturbance(sweep(setup, *self.AGREE_EPS))
+            for eps, d in zip(self.AGREE_EPS, got):
                 want = reference.branch_disturbance(setup, eps)
-                assert disturbance(setup, eps) == pytest.approx(want,
-                                                                rel=1e-9)
+                assert d == pytest.approx(want, rel=1e-9)
 
     def test_matches_branch_by_branch_readout_on_grid(self):
         rng = np.random.default_rng(156)
@@ -507,15 +524,15 @@ class TestDisturbance:
                               random_state(rng, 2),
                               gaussian_grid_meter(grid, rho))
             readout = Observable(setup.meter.B.entries)
-            for eps in self.AGREE_EPS:
+            got = disturbance(sweep(setup, *self.AGREE_EPS))
+            for eps, d in zip(self.AGREE_EPS, got):
                 want = reference.branch_disturbance(setup, eps, readout)
-                assert disturbance(setup, eps) == pytest.approx(want,
-                                                                rel=1e-9)
+                assert d == pytest.approx(want, rel=1e-9)
 
 
 class TestWeakValueReport:
     def test_canonical_report(self):
-        rep = weak_value_report(canonical_setup(50.0))
+        rep = weak_value_report(eps_sweep(canonical_setup(50.0)))
         assert rep.closed_form == 100.0
         assert abs(rep.numeric - 100.0) <= 1e-4
         assert rep.traditional == 0.0
@@ -524,3 +541,64 @@ class TestWeakValueReport:
         assert rep.rho_effective == 50.0
         assert abs(rep.numeric - rep.closed_form) <= 10 * max(
             rep.numeric_error, 1e-9)
+
+
+class TestEpsSweep:
+    """The record against the single-eps formulas in tests/reference.py,
+    which prepare a fresh coupled state per eps; they must agree to the
+    bit."""
+
+    def check_against_reference(self, setup, sched):
+        record = eps_sweep(setup, sched)
+        assert isinstance(record, EpsSweep)
+        assert record.eps_values == sched.eps_values
+        conditional = record.conditional_expectations()
+        kicks = disturbance(record)
+        for i, eps in enumerate(sched.eps_values):
+            assert record.readings[i] == reference.meter_reading(setup, eps)
+            assert conditional[i] == reference.conditional_expectation(
+                setup, eps)
+            assert kicks[i] == reference.disturbance(setup, eps)
+        samples = [c / e for c, e in zip(conditional, sched.eps_values)]
+        assert weak_value_extrapolation(record) == richardson_limit(
+            sched.eps_values, samples)
+
+    def test_matches_single_eps_formulas_on_qubit(self):
+        rng = np.random.default_rng(161)
+        for _ in range(5):
+            setup = random_setup(rng, int(rng.integers(2, 6)),
+                                 rho=rng.uniform(-50, 50))
+            self.check_against_reference(setup, EpsSchedule.default())
+
+    def test_matches_single_eps_formulas_on_grid(self):
+        rng = np.random.default_rng(162)
+        grid = GridSpec(256, 12.0)
+        for rho in (-20.0, 3.0):
+            setup = WeakSetup(random_hermitian(rng, 2), random_state(rng, 2),
+                              random_state(rng, 2),
+                              gaussian_grid_meter(grid, rho))
+            self.check_against_reference(setup, EpsSchedule.default())
+
+    def test_one_coupled_state_per_eps(self, monkeypatch):
+        import weakmeas.protocol as protocol
+        calls = []
+        real = protocol.coupled_state
+
+        def counting(setup, eps):
+            calls.append(eps)
+            return real(setup, eps)
+
+        monkeypatch.setattr(protocol, "coupled_state", counting)
+        record = eps_sweep(canonical_setup(50.0))
+        weak_value_report(record)
+        unconditional_limit(record)
+        disturbance(record)
+        assert calls == list(DEFAULT_EPS)
+
+    def test_undefined_and_empty_postselection_do_not_raise(self):
+        for f in (StateVector([0, 1]), StateVector([1e-11, 1.0])):
+            record = eps_sweep(WeakSetup(Observable(SZ), E1, f,
+                                         qubit_meter(0.0)))
+            assert all(p < 1e-20 for p in record.probabilities)
+            assert unconditional_limit(record) == pytest.approx(1.0,
+                                                                abs=1e-6)
