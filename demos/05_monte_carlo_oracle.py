@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Sampling the experiment event by event, against the exact distribution.
 
-Each trial couples, reads a meter eigenvalue, then postselects. The
-sampler is counter-based: trial i always draws from block i of the
-random stream, so a run sharded across workers reproduces the serial
-run bit for bit.
+Each trial couples, reads a meter eigenvalue, then postselects. A run
+carries the exact outcome table it sampled, so the exact conditional
+mean sits next to the sampled one. The sampler is counter-based: trial
+i always draws from block i of the random stream, so a run sharded
+across workers reproduces the serial run bit for bit.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ from weakmeas import (
     Observable,
     StateVector,
     WeakSetup,
-    exact_outcome_distribution,
     monte_carlo_run,
     projective_A_oracle,
     qubit_meter,
@@ -29,9 +29,8 @@ def main():
     setup = WeakSetup(a, s, f, qubit_meter(rho=2.0))
     eps, n, seed = 0.01, 200_000, 42
 
-    table = exact_outcome_distribution(setup, eps)
     run = monte_carlo_run(setup, eps, n, seed)
-    est = run.estimate
+    table, est = run.table, run.estimate
     print(f"exact conditional mean   = {table.conditional_mean:+.6f}")
     print(f"sampled ({n} trials)  = {est.mean:+.6f} "
           f"+- {est.std_error:.6f}")

@@ -33,7 +33,7 @@ from .meters import (
     gaussian_grid_meter,
     qubit_meter,
 )
-from .oracle import exact_outcome_distribution, monte_carlo_run, projective_A_oracle
+from .oracle import monte_carlo_run, projective_A_oracle
 from .protocol import (
     DEFAULT_EPS,
     EpsSchedule,
@@ -42,7 +42,6 @@ from .protocol import (
     UndefinedWeakValueError,
     WeakSetup,
     _projective_or_none,
-    aav_complex_weak_value,
     coupling_moment,
     disturbance,
     eps_sweep,
@@ -487,15 +486,17 @@ def run_sweep_rho(config: ExperimentConfig):
     rows = [ResultRow(scenario="sweep-rho", rho=rho,
                       **_weak_value_fields(eps_sweep(setup, sched)))
             for rho, setup in zip(rhos, setups)]
-    ratio = aav_complex_weak_value(base.A, base.s, base.f)
-    summary = {"aav_imag": ratio.imag, "expected_slope": 2.0 * ratio.imag}
+    # None when the weak value is undefined; then no row has wv_closed
+    aav_imag = rows[0].wv_aav_im
+    summary = {"aav_imag": aav_imag,
+               "expected_slope": None if aav_imag is None else 2.0 * aav_imag}
     pairs = [(r.rho, r.wv_closed) for r in rows if r.wv_closed is not None]
     if len(pairs) >= 2:
         slope, intercept = np.polyfit([p[0] for p in pairs],
                                       [p[1] for p in pairs], 1)
         summary.update(fitted_slope=float(slope),
                        fitted_intercept=float(intercept),
-                       slope_residual=float(slope - 2.0 * ratio.imag))
+                       slope_residual=float(slope - 2.0 * aav_imag))
     return rows, summary
 
 
@@ -532,9 +533,8 @@ def run_sample(config: ExperimentConfig):
     the exact conditional mean."""
     setup = config.setup()
     eps = config.eps_values[0]
-    est = monte_carlo_run(setup, eps, config.mc.n_trials,
-                          config.mc.seed).estimate
-    table = exact_outcome_distribution(setup, eps)
+    run = monte_carlo_run(setup, eps, config.mc.n_trials, config.mc.seed)
+    est, table = run.estimate, run.table
     row = ResultRow(
         scenario="sample",
         rho=config.meter.rho,
@@ -633,7 +633,7 @@ def run_compare(config: ExperimentConfig):
     uncond = unconditional_limit(sweep)
     counts = run.counts.sum(axis=1)
     n = counts.sum()
-    b = np.asarray(run.b_values)
+    b = run.table.values
     mc_uncond_mean = float((b * counts).sum() / n)
     var = float((b * b * counts).sum() / n - mc_uncond_mean ** 2)
     mc_uncond_err = math.sqrt(max(var, 0.0) * n / max(n - 1, 1)) / math.sqrt(n)

@@ -175,16 +175,18 @@ def expectation(a: Observable, v: StateVector) -> float:
             f"operator dim {a.dim} != state dim {v.dim}"
         )
     return real_part(complex(np.vdot(v.amps, a.entries @ v.amps)),
-                     "expectation")
+                     "expectation", float(np.max(np.abs(a.entries))))
 
 
-def real_part(value: complex, what: str) -> float:
+def real_part(value: complex, what: str, scale: float = 1.0) -> float:
     """The real part of an expectation value of a Hermitian operator.
 
-    The imaginary part is roundoff that scales with the operator, so a
-    residue above IMAG_TOL * max(1, |Re value|) raises HermiticityError.
+    The imaginary part is roundoff that scales with the operator, whose
+    largest entry the caller may pass as ``scale``, and with the value,
+    so a residue above IMAG_TOL * max(1, scale, |Re value|) raises
+    HermiticityError.
     """
-    if abs(value.imag) > IMAG_TOL * max(1.0, abs(value.real)):
+    if abs(value.imag) > IMAG_TOL * max(1.0, scale, abs(value.real)):
         raise HermiticityError(
             f"{what} has imaginary residue {value.imag:.3e}"
         )

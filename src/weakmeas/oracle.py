@@ -1,10 +1,11 @@
 """Ground-truth machinery for the measurement statistics.
 
-Two independent roads to the same numbers: exact enumeration of the
-joint (meter outcome, postselection) distribution, and a seeded Monte
-Carlo sampler that simulates the physical procedure event by event.
-A third oracle samples an ordinary projective measurement of the system
-observable, which is the thing weak values are so often confused with.
+Both measurements the paper contrasts, the weak meter readout of B and
+an ordinary projective measurement of the system observable A, are
+followed by the postselection on f, and both are described by one
+:class:`OutcomeTable`: exact enumeration yields it, and one seeded
+two-stage sampler draws numbered trials from it. A sampling run carries
+the table it sampled.
 
 Reproducibility contract: trials are numbered, and trial i draws its
 uniforms from the i-th counter block of a Philox stream keyed by the
@@ -21,29 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import Observable, StateVector
-from .protocol import (
-    EMPTY_PROB,
-    EmptyPostselectionError,
-    WeakSetup,
-    coupled_state,
-    projective_tables,
-)
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeTable:
-    """Exact joint distribution over (meter eigenvalue, success).
-
-    ``entries`` pairs each eigenvalue of B with the probability of
-    reading it AND postselecting successfully; ``branch_probs`` carries
-    the unconditional probability of each eigenvalue, so failure cells
-    are branch_probs[i] - entries[i][1].
-    """
-
-    entries: tuple                # of (b_eigenvalue, joint_prob_success)
-    branch_probs: tuple
-    total_success_prob: float
-    conditional_mean: float
+from .protocol import OutcomeTable, WeakSetup, coupled_state, projective_tables
 
 
 @dataclass(frozen=True)
@@ -68,20 +47,20 @@ class EstimateWithError:
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloRun:
-    """Aggregated counts of a sampling run.
+    """Aggregated counts of a sampling run of ``table``.
 
-    ``counts[i]`` is (successes, failures) for the i-th eigenvalue in
-    ``b_values``. Runs over disjoint trial ranges with the same seed can
-    be merged by adding counts.
+    ``counts[i]`` is (successes, failures) for the i-th eigenspace of the
+    table. Runs over disjoint trial ranges with the same seed can be
+    merged by adding counts.
     """
 
-    b_values: tuple
-    counts: np.ndarray            # shape (len(b_values), 2)
+    table: OutcomeTable
+    counts: np.ndarray            # shape (len(table.values), 2)
     estimate: EstimateWithError
 
 
-def _branch_tables(setup: WeakSetup, eps: float):
-    """Per-eigenspace tables: eigenvalue, marginal prob, joint success prob.
+def _branch_tables(setup: WeakSetup, eps: float) -> OutcomeTable:
+    """The outcome table of the meter readout of r(eps).
 
     Column j of C holds the branch amplitudes of r(eps) along B's j-th
     eigenvector, one per system index, and f^dagger C their postselected
@@ -93,7 +72,7 @@ def _branch_tables(setup: WeakSetup, eps: float):
     w = setup.f.amps.conj() @ c
     marginal = group_sum((np.abs(c) ** 2).sum(axis=0))
     joint = group_sum(np.abs(w) ** 2)
-    return values, marginal, joint
+    return OutcomeTable(values, marginal, joint)
 
 
 def exact_outcome_distribution(setup: WeakSetup, eps: float) -> OutcomeTable:
@@ -101,20 +80,11 @@ def exact_outcome_distribution(setup: WeakSetup, eps: float) -> OutcomeTable:
 
     The meter readout and the postselection commute, so the joint
     probability of eigenspace Q and success is |(P_f (x) P_Q) r|^2.
+    Raises EmptyPostselectionError when the postselection is empty.
     """
-    b_vals, marginal, joint = _branch_tables(setup, eps)
-    total = float(joint.sum())
-    if total <= EMPTY_PROB:
-        raise EmptyPostselectionError(
-            f"total success probability {total:.3e} is numerically zero"
-        )
-    mean = float((b_vals * joint).sum() / total)
-    return OutcomeTable(
-        entries=tuple((float(b), float(p)) for b, p in zip(b_vals, joint)),
-        branch_probs=tuple(float(p) for p in marginal),
-        total_success_prob=total,
-        conditional_mean=mean,
-    )
+    table = _branch_tables(setup, eps)
+    table.conditional_mean        # raises on an empty postselection
+    return table
 
 
 def _philox_generator(seed: int, trial_offset: int) -> np.random.Generator:
@@ -129,50 +99,40 @@ def _philox_generator(seed: int, trial_offset: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _two_stage_counts(b_vals, marginal, joint, n_trials, seed, trial_offset):
-    """Vectorized two-stage sampling; returns the (successes, failures)
-    count matrix and the array of successful eigenvalues."""
+def _sample(table: OutcomeTable, n_trials: int, seed: int,
+            trial_offset: int) -> MonteCarloRun:
+    """Draw numbered trials from a table, vectorized: each trial picks an
+    eigenspace with its Born probability, then passes the postselection
+    with the conditional probability joint / marginal."""
+    if n_trials < 1:
+        raise ValueError("need at least one trial")
+    values, marginal, joint = table
     rng = _philox_generator(seed, trial_offset)
     u = rng.random((n_trials, 4))
     cum = np.cumsum(marginal)
     gi = np.searchsorted(cum, u[:, 0] * cum[-1], side="right")
-    np.clip(gi, 0, len(b_vals) - 1, out=gi)
+    np.clip(gi, 0, len(values) - 1, out=gi)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(marginal > 0, joint / np.maximum(marginal, 1e-300), 0.0)
     ok = u[:, 1] < cond[gi]
     # cell 2 * gi holds the successes of branch gi, the next its failures
-    counts = np.bincount(2 * gi + ~ok, minlength=2 * len(b_vals))
-    return counts.reshape(-1, 2), b_vals[gi[ok]]
-
-
-def _estimate(values: np.ndarray, n_trials: int, seed: int) -> EstimateWithError:
-    n = values.size
-    if n == 0:
-        return EstimateWithError(math.nan, math.nan, 0, n_trials, seed)
-    mean = float(values.mean())
-    if n == 1:
-        return EstimateWithError(mean, math.nan, 1, n_trials, seed)
-    err = float(values.std(ddof=1) / math.sqrt(n))
-    return EstimateWithError(mean, err, n, n_trials, seed)
+    counts = np.bincount(2 * gi + ~ok, minlength=2 * len(values))
+    hits = values[gi[ok]]
+    n = hits.size
+    mean = float(hits.mean()) if n else math.nan
+    err = float(hits.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    return MonteCarloRun(table, counts.reshape(-1, 2),
+                         EstimateWithError(mean, err, n, n_trials, seed))
 
 
 def monte_carlo_run(setup: WeakSetup, eps: float, n_trials: int, seed: int,
                     trial_offset: int = 0) -> MonteCarloRun:
-    """Run n_trials numbered trials and aggregate the outcome counts.
+    """Run n_trials numbered trials of the meter readout at eps.
 
     ``trial_offset`` names the first trial, so shards of one logical run
     reproduce the serial result exactly when their counts are merged.
     """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
-    b_vals, marginal, joint = _branch_tables(setup, eps)
-    counts, successes = _two_stage_counts(
-        b_vals, marginal, joint, n_trials, seed, trial_offset)
-    return MonteCarloRun(
-        b_values=tuple(float(b) for b in b_vals),
-        counts=counts,
-        estimate=_estimate(successes, n_trials, seed),
-    )
+    return _sample(_branch_tables(setup, eps), n_trials, seed, trial_offset)
 
 
 def projective_A_oracle(a: Observable, s: StateVector, f: StateVector,
@@ -185,8 +145,5 @@ def projective_A_oracle(a: Observable, s: StateVector, f: StateVector,
     eigenvalues average to the projective conditional expectation, which
     stays inside A's spectrum no matter how the weak values misbehave.
     """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
-    _, successes = _two_stage_counts(
-        *projective_tables(a, s, f), n_trials, seed, trial_offset)
-    return _estimate(successes, n_trials, seed)
+    return _sample(projective_tables(a, s, f), n_trials, seed,
+                   trial_offset).estimate

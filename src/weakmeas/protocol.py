@@ -6,7 +6,10 @@ observable I (x) B is read out. The unconditional average and the
 postselected weak value are two readings of one coupled state r(eps):
 :func:`eps_sweep` prepares it once per scheduled eps, and the eps -> 0
 limits, the disturbance and :func:`weak_value_report` all read that
-record. The closed-form weak values need no simulation.
+record. The closed-form weak values need no simulation. The projective
+A measurement they are contrasted with is an :class:`OutcomeTable`, the
+table type that also describes the meter readout (oracle module), so
+both measurements share one conditional mean and one emptiness check.
 
 All composite-space arithmetic is done on the (dim_S, dim_M) amplitude
 array of the coupled state, so no operator on the full product space is
@@ -19,6 +22,7 @@ Fourier-grid meter, never forms a dim_M x dim_M matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,6 +182,35 @@ class WeakValueReport:
     aav_complex: complex
     projective_conditional: float | None
     rho_effective: float
+
+
+class OutcomeTable(NamedTuple):
+    """One measurement followed by the postselection on f.
+
+    Each field has one entry per eigenspace of the measured observable:
+    its eigenvalue, the Born probability of reading it, and the joint
+    probability of reading it and then passing the postselection, so
+    the failure cells are ``marginal - joint``.
+    """
+
+    values: np.ndarray
+    marginal: np.ndarray
+    joint: np.ndarray
+
+    @property
+    def total_success_prob(self) -> float:
+        return float(self.joint.sum())
+
+    @property
+    def conditional_mean(self) -> float:
+        """Mean eigenvalue given success; raises EmptyPostselectionError
+        when the postselection passes with numerically zero probability."""
+        total = self.total_success_prob
+        if total <= EMPTY_PROB:
+            raise EmptyPostselectionError(
+                f"total success probability {total:.3e} is numerically zero"
+            )
+        return float((self.values * self.joint).sum()) / total
 
 
 def coupling_moment(meter: MeterSpec) -> complex:
@@ -360,8 +393,9 @@ def weak_value_closed_form(setup: WeakSetup) -> float:
     return 2.0 * (ratio * coupling_moment(setup.meter)).imag
 
 
-def projective_tables(a: Observable, s: StateVector, f: StateVector):
-    """Per-eigenspace tables of a projective A measurement on s.
+def projective_tables(a: Observable, s: StateVector,
+                      f: StateVector) -> OutcomeTable:
+    """The outcome table of a projective A measurement on s.
 
     Returns the eigenvalue of each eigenspace, its Born probability
     |P_i s|^2, and the joint probability |<f, P_i s>|^2 of collapsing
@@ -378,7 +412,7 @@ def projective_tables(a: Observable, s: StateVector, f: StateVector):
     cf = vh @ f.amps
     marginal = dec.group_sum(np.abs(cs) ** 2)
     joint = np.abs(dec.group_sum(cf.conj() * cs)) ** 2
-    return dec.group_values, marginal, joint
+    return OutcomeTable(dec.group_values, marginal, joint)
 
 
 def projective_conditional_expectation(a: Observable, s: StateVector,
@@ -390,13 +424,7 @@ def projective_conditional_expectation(a: Observable, s: StateVector,
     a convex combination of A's eigenvalues: it always lies inside the
     spectrum, unlike the weak values above.
     """
-    values, _, joint = projective_tables(a, s, f)
-    total = float(joint.sum())
-    if total <= EMPTY_PROB:
-        raise EmptyPostselectionError(
-            f"total postselection probability {total:.3e} is numerically zero"
-        )
-    return float((values * joint).sum()) / total
+    return projective_tables(a, s, f).conditional_mean
 
 
 def _projective_or_none(a: Observable, s: StateVector, f: StateVector):

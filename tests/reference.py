@@ -158,6 +158,19 @@ def sample_run(setup, eps: float, rng: np.random.Generator) -> Outcome:
     )
 
 
+def large_zero_mean_system(rng):
+    """A random 4x4 Hermitian A of scale 1e7 and the mix s of its extreme
+    eigenvectors, weighted by the opposite eigenvalues, so <s, As> = 0
+    while the roundoff of <s, As> grows with A's entries."""
+    m = 1e7 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    a = Observable((m + m.conj().T) / 2)
+    dec = eig_hermitian(a)
+    lo, hi = dec.eigenvalues[0], dec.eigenvalues[-1]
+    w = hi / (hi - lo)
+    return a, StateVector(np.sqrt(w) * dec.eigenvectors[:, 0]
+                          + np.sqrt(1 - w) * dec.eigenvectors[:, -1])
+
+
 def eigenspaces(dec):
     """Yield (eigenvalue, orthonormal column block) for each eigenspace."""
     bounds = np.append(dec.group_starts, dec.eigenvalues.size)

@@ -134,7 +134,7 @@ def test_criterion_5_sampler_agrees_with_exact_distribution():
 
     # chi-square over (branch, success/fail) cells with expected count >= 5
     probs = []
-    for (_, joint), marginal in zip(table.entries, table.branch_probs):
+    for joint, marginal in zip(table.joint, table.marginal):
         probs.extend([joint, marginal - joint])
     expected = n * np.asarray(probs)
     observed = run.counts.reshape(-1)

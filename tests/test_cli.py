@@ -28,6 +28,8 @@ from weakmeas.cli import (
     run_scenario,
 )
 
+from reference import large_zero_mean_system
+
 SX = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -401,6 +403,10 @@ class TestCompareScenario:
         cfg = preset("convexity-contrast")
         run_scenario(cfg)
         assert len(calls) == len(cfg.schedule().eps_values) + 1 == 6
+        # sample reads the exact mean off the table it sampled
+        calls.clear()
+        run_scenario(replace(cfg, scenario="sample"))
+        assert len(calls) == 1
 
 
 class TestLargeEntryObservable:
@@ -424,6 +430,24 @@ class TestLargeEntryObservable:
         path.write_text(json.dumps(data))
         assert main([scenario, "--config", str(path)]) == 0
         assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["limit-check", "compare"])
+    def test_zero_mean_state_is_accepted(self, scenario, tmp_path, capsys):
+        # <s, As> = 0, so the roundoff of about 1e-9 must be measured
+        # against A's entries, not against the value
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            a, s = large_zero_mean_system(rng)
+            data = {"scenario": scenario,
+                    "system": {"A": [[[z.real, z.imag] for z in row]
+                                     for row in a.entries],
+                               "s": [[z.real, z.imag] for z in s.amps],
+                               "f": [1.0, 0.5, 0.0, [0.0, -1.0]]},
+                    "mc": {"n_trials": 2000, "seed": 1}}
+            path = tmp_path / "zero_mean.json"
+            path.write_text(json.dumps(data))
+            assert main([scenario, "--config", str(path)]) == 0
+            assert "error" not in capsys.readouterr().err
 
 
 class TestRendering:
@@ -620,3 +644,18 @@ class TestUndefinedRowThroughCli:
         assert record["status"] == STATUS_UNDEFINED
         assert record["wv_numeric"] == ""
         assert record["projective_cond"] != ""
+
+    def test_sweep_rho_rows_all_undefined(self, tmp_path, capsys):
+        cfg = generic_config(scenario="sweep-rho",
+                             s_amps=((1.0, 0.0), (0.0, 0.0)),
+                             f_amps=((0.0, 0.0), (1.0, 0.0)),
+                             rho_values=(-10.0, 0.0, 10.0))
+        cfg_path = tmp_path / "cfg.json"
+        cfg.save(str(cfg_path))
+        assert main(["sweep-rho", "--config", str(cfg_path),
+                     "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [r["status"] for r in report["rows"]] == [STATUS_UNDEFINED] * 3
+        assert report["summary"]["aav_imag"] is None
+        assert report["summary"]["expected_slope"] is None
+        assert "fitted_slope" not in report["summary"]

@@ -18,6 +18,7 @@ from reference import (
     DensityMatrix,
     evolve,
     inner,
+    large_zero_mean_system,
     partial_trace_meter,
     projector,
     tensor_op,
@@ -414,6 +415,24 @@ class TestRealPart:
             real_part(complex(1e7, 1e-2), "x")
         with pytest.raises(HermiticityError):
             real_part(complex(0.5, 1e-9), "x")
+
+    def test_residue_is_relative_to_the_operator_scale(self):
+        assert real_part(complex(0.0, 1e-4), "x", 1e7) == 0.0
+        assert real_part(complex(0.5, 1e-11), "x", 0.1) == 0.5
+        with pytest.raises(HermiticityError):
+            real_part(complex(0.0, 1e-2), "x", 1e7)
+        with pytest.raises(HermiticityError):
+            real_part(complex(0.5, 1e-9), "x", 0.1)
+
+    def test_large_operator_with_zero_mean_passes(self):
+        # the imaginary roundoff of <s, As> is about 1e-9 here, far above
+        # IMAG_TOL * max(1, |<s, As>|) but not above IMAG_TOL * max|A_ij|
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            a, s = large_zero_mean_system(rng)
+            want = complex(np.vdot(s.amps, a.entries @ s.amps)).real
+            assert expectation(a, s) == want
+            assert abs(want) <= 1e-14 * np.max(np.abs(a.entries))
 
 
 class TestDensityMatrix:

@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from weakmeas.hilbert import Observable, StateVector, eig_hermitian
-from weakmeas.meters import qubit_meter
+from weakmeas.meters import GridSpec, gaussian_grid_meter, qubit_meter
 from weakmeas.oracle import (
     EstimateWithError,
     MonteCarloRun,
@@ -17,6 +17,7 @@ from weakmeas.oracle import _branch_tables, _philox_generator
 from weakmeas.protocol import (
     EmptyPostselectionError,
     MeterSpec,
+    OutcomeTable,
     WeakSetup,
     projective_conditional_expectation,
     projective_tables,
@@ -54,10 +55,10 @@ def random_setup(rng, dim):
 class TestExactDistribution:
     def test_probabilities_well_formed(self):
         table = exact_outcome_distribution(canonical_setup(50.0), 1e-2)
-        assert all(p >= 0 for _, p in table.entries)
+        assert all(p >= 0 for p in table.joint)
         assert table.total_success_prob <= 1 + 1e-10
-        assert sum(table.branch_probs) == pytest.approx(1.0, abs=1e-12)
-        for (_, joint), marg in zip(table.entries, table.branch_probs):
+        assert sum(table.marginal) == pytest.approx(1.0, abs=1e-12)
+        for joint, marg in zip(table.joint, table.marginal):
             assert joint <= marg + 1e-15
 
     def test_conditional_mean_matches_second_code_path(self):
@@ -168,7 +169,7 @@ class TestSampleRun:
         eps, seed, n = 1e-2, 909, 64
         run = monte_carlo_run(setup, eps, n, seed)
         counts = np.zeros_like(run.counts)
-        b_index = {b: i for i, b in enumerate(run.b_values)}
+        b_index = {b: i for i, b in enumerate(run.table.values)}
         for trial in range(n):
             out = sample_run(setup, eps, _philox_generator(seed, trial))
             counts[b_index[out.b_value], 0 if out.postselected else 1] += 1
@@ -226,6 +227,19 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(merged, full.counts)
         assert full.counts.sum() == n
 
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_run_carries_the_exact_table(self, grid):
+        meter = (gaussian_grid_meter(GridSpec(256, 12.0), 3.0) if grid
+                 else qubit_meter(3.0))
+        setup = WeakSetup(Observable(SX), CIRC, E1, meter)
+        run = monte_carlo_run(setup, 1e-2, 1000, seed=8)
+        table = exact_outcome_distribution(setup, 1e-2)
+        assert type(run.table) is type(table) is OutcomeTable
+        for got, want in zip(run.table, table):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert run.counts.shape == (len(table.values), 2)
+
     def test_negative_trial_offset_rejected(self):
         # Philox.advance wraps a negative offset around the 256-bit
         # counter, which would silently draw from its far end
@@ -242,7 +256,7 @@ class TestMonteCarlo:
         table = exact_outcome_distribution(setup, eps)
         run = monte_carlo_run(setup, eps, n, seed=5150)
         probs = []
-        for (_, joint), marg in zip(table.entries, table.branch_probs):
+        for joint, marg in zip(table.joint, table.marginal):
             probs.extend([joint, marg - joint])
         observed = run.counts.reshape(-1)
         expected = n * np.asarray(probs)
