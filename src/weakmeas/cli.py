@@ -50,9 +50,6 @@ from .protocol import (
     weak_value_report,
 )
 
-SCENARIOS = ("weak-value", "sweep-rho", "limit-check", "sample",
-             "disturbance", "aav-grid", "compare")
-
 SCHEMA_VERSION = 1
 
 STATUS_OK = "ok"
@@ -106,10 +103,6 @@ def _decode_pair(x) -> tuple:
     raise ConfigError(f"expected a number or [re, im] pair, got {x!r}")
 
 
-def _encode_pair(z) -> list:
-    return [float(z[0]), float(z[1])]
-
-
 def _canonical_vector(raw) -> tuple:
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError("state literal must be a nonempty list")
@@ -140,6 +133,21 @@ def _read_json(path: str):
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _only(data, keys, where: str) -> dict:
+    """A JSON object whose keys are all among ``keys``."""
+    for key in _object(data, where):
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {where}; expected "
+                              f"one of {', '.join(keys)}")
+    return data
+
+
+def _store(obj, **values) -> None:
+    """Set checked values on a frozen dataclass from its __post_init__."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class MeterConfig:
     kind: str = "qubit"
@@ -148,13 +156,12 @@ class MeterConfig:
     half_width: float = DEFAULT_HALF_WIDTH
 
     def __post_init__(self):
+        _store(self, rho=_number(self.rho, "meter.rho"),
+               n_points=_number(self.n_points, "meter.n_points", int),
+               half_width=_number(self.half_width, "meter.half_width"))
         if self.kind not in ("qubit", "grid"):
             raise ConfigError(f"meter kind must be qubit or grid, "
                               f"got {self.kind!r}")
-        for name in ("rho", "half_width"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"meter {name} must be finite, "
-                                  f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -163,6 +170,8 @@ class MonteCarloConfig:
     seed: int = 1
 
     def __post_init__(self):
+        _store(self, n_trials=_number(self.n_trials, "mc.n_trials", int),
+               seed=_number(self.seed, "mc.seed", int))
         if self.n_trials < 1:
             raise ConfigError("mc.n_trials must be at least 1")
         if not (0 <= self.seed < 2 ** 64):
@@ -184,14 +193,18 @@ class OutputConfig:
                               f"got {self.format!r}")
 
 
+_SECTIONS = {"meter": MeterConfig, "mc": MonteCarloConfig,
+             "output": OutputConfig}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one scenario run needs, in a canonical, serializable form.
 
-    Complex entries are stored as (re, im) float pairs; matrices are
-    row-major. Loading validates Hermiticity and dimensional consistency
-    immediately and keeps the validated system observable and states as
-    ``A``, ``s`` and ``f``, so a config that parses is a config that runs.
+    Complex entries are (re, im) float pairs, matrices row-major; JSON-style
+    lists are brought to that form. Construction checks every field,
+    Hermiticity and dimensional consistency, and keeps the validated system
+    as ``A``, ``s`` and ``f``, so a config that exists is one that runs.
     """
 
     scenario: str
@@ -209,6 +222,8 @@ class ExperimentConfig:
     f: StateVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _store(self, schema_version=_number(self.schema_version,
+                                            "schema_version", int))
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"unsupported schema_version {self.schema_version!r}; "
@@ -217,6 +232,14 @@ class ExperimentConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"choose one of {', '.join(SCENARIOS)}")
+        for name, cls in _SECTIONS.items():
+            if not isinstance(getattr(self, name), cls):
+                raise ConfigError(f"{name} must be a {cls.__name__}")
+        _store(self, a_entries=_canonical_matrix(self.a_entries),
+               s_amps=_canonical_vector(self.s_amps),
+               f_amps=_canonical_vector(self.f_amps),
+               eps_values=_numbers(self.eps_values, "eps_schedule"),
+               rho_values=_numbers(self.rho_values, "rho_values"))
         try:
             a = Observable(_complex_array(self.a_entries))
         except HermiticityError as exc:
@@ -231,11 +254,9 @@ class ExperimentConfig:
         if not self.eps_values:
             raise ConfigError("eps_values must not be empty")
         for e in self.eps_values:
-            if not (0.0 < float(e) <= 0.5):
+            if not (0.0 < e <= 0.5):
                 raise ConfigError(f"eps value {e!r} outside (0, 0.5]")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "f", f)
+        _store(self, A=a, s=s, f=f)
 
     def grid_spec(self) -> GridSpec:
         return GridSpec(self.meter.n_points, self.meter.half_width)
@@ -259,67 +280,37 @@ class ExperimentConfig:
         return {
             "schema_version": self.schema_version,
             "scenario": self.scenario,
-            "system": {
-                "A": [[_encode_pair(z) for z in row]
-                      for row in self.a_entries],
-                "s": [_encode_pair(z) for z in self.s_amps],
-                "f": [_encode_pair(z) for z in self.f_amps],
-            },
-            "meter": {
-                "kind": self.meter.kind,
-                "rho": self.meter.rho,
-                "n_points": self.meter.n_points,
-                "half_width": self.meter.half_width,
-            },
+            "system": {"A": [[list(z) for z in row] for row in self.a_entries],
+                       "s": [list(z) for z in self.s_amps],
+                       "f": [list(z) for z in self.f_amps]},
+            "meter": asdict(self.meter),
             "eps_schedule": list(self.eps_values),
             "rho_values": list(self.rho_values),
-            "mc": {"n_trials": self.mc.n_trials, "seed": self.mc.seed},
-            "output": {"path": self.output.path,
-                       "format": self.output.format},
+            "mc": asdict(self.mc),
+            "output": asdict(self.output),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = _object(data, "config root")
+        data = _only(data, ("schema_version", "scenario", "system", "meter",
+                            "eps_schedule", "rho_values", "mc", "output"),
+                     "config root")
         try:
-            system = _object(data["system"], "system")
-            meter_d = _object(data.get("meter", {}), "meter")
-            mc_d = _object(data.get("mc", {}), "mc")
-            out_d = _object(data.get("output", {}), "output")
-            return cls(
-                scenario=data["scenario"],
-                a_entries=_canonical_matrix(system["A"]),
-                s_amps=_canonical_vector(system["s"]),
-                f_amps=_canonical_vector(system["f"]),
-                meter=MeterConfig(
-                    kind=meter_d.get("kind", "qubit"),
-                    rho=_number(meter_d.get("rho", 0.0), "meter.rho"),
-                    n_points=_number(meter_d.get("n_points",
-                                                 DEFAULT_N_POINTS),
-                                     "meter.n_points", int),
-                    half_width=_number(meter_d.get("half_width",
-                                                   DEFAULT_HALF_WIDTH),
-                                       "meter.half_width"),
-                ),
-                eps_values=_numbers(data.get("eps_schedule", DEFAULT_EPS),
-                                    "eps_schedule"),
-                rho_values=_numbers(data.get("rho_values", ()),
-                                    "rho_values"),
-                mc=MonteCarloConfig(
-                    n_trials=_number(mc_d.get("n_trials", 100_000),
-                                     "mc.n_trials", int),
-                    seed=_number(mc_d.get("seed", 1), "mc.seed", int),
-                ),
-                output=OutputConfig(
-                    path=out_d.get("path"),
-                    format=out_d.get("format", "csv"),
-                ),
-                schema_version=_number(data.get("schema_version",
-                                                SCHEMA_VERSION),
-                                       "schema_version", int),
-            )
+            system = _only(data["system"], ("A", "s", "f"), "system")
+            kw = dict(scenario=data["scenario"], a_entries=system["A"],
+                      s_amps=system["s"], f_amps=system["f"])
         except KeyError as exc:
             raise ConfigError(f"config is missing required key {exc}") from exc
+        kw.update({k: data[k] for k in ("schema_version", "rho_values")
+                   if k in data})
+        if "eps_schedule" in data:
+            kw["eps_values"] = data["eps_schedule"]
+        # a section key must name a field; an absent one takes its default
+        for key, section in _SECTIONS.items():
+            if key in data:
+                kw[key] = section(**_only(data[key], [
+                    f.name for f in fields(section)], key))
+        return cls(**kw)
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
@@ -669,6 +660,8 @@ _RUNNERS = {
     "compare": run_compare,
 }
 
+SCENARIOS = tuple(_RUNNERS)
+
 
 def run_scenario(config: ExperimentConfig):
     """Run the config's scenario; returns (rows, summary)."""
@@ -711,6 +704,16 @@ def render_json(config, rows, summary) -> str:
 # entry point
 
 
+# the flags that override one config key: flag -> (section, key, options)
+_FLAGS = {
+    "--rho": ("meter", "rho", {"type": float}),
+    "--trials": ("mc", "n_trials", {"type": int}),
+    "--seed": ("mc", "seed", {"type": int}),
+    "--out": ("output", "path", {"metavar": "PATH"}),
+    "--format": ("output", "format", {"choices": ("csv", "json")}),
+}
+
+
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="weakmeas",
@@ -724,19 +727,11 @@ def _parse_args(argv):
     source.add_argument("--preset", metavar="NAME",
                         help=f"built-in configuration: "
                              f"{', '.join(sorted(_PRESETS))}")
-    parser.add_argument("--rho", type=float,
-                        help="override the meter rho")
     parser.add_argument("--eps", metavar="LIST",
                         help="override the eps schedule, comma-separated "
                              "descending values")
-    parser.add_argument("--trials", type=int,
-                        help="override the Monte Carlo trial count")
-    parser.add_argument("--seed", type=int,
-                        help="override the Monte Carlo seed")
-    parser.add_argument("--out", metavar="PATH",
-                        help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        help="output format (default from config, else csv)")
+    for flag, (section, key, options) in _FLAGS.items():
+        parser.add_argument(flag, help=f"override {section}.{key}", **options)
     return parser.parse_args(argv)
 
 
@@ -751,11 +746,8 @@ def _apply_overrides(data, args) -> dict:
         except ValueError:
             raise ConfigError(f"--eps expects comma-separated numbers, "
                               f"got {args.eps!r}") from None
-    for section, key, value in (("meter", "rho", args.rho),
-                                ("mc", "n_trials", args.trials),
-                                ("mc", "seed", args.seed),
-                                ("output", "path", args.out),
-                                ("output", "format", args.format)):
+    for flag, (section, key, _) in _FLAGS.items():
+        value = getattr(args, flag[2:])
         if value is not None:
             data[section] = {**_object(data.get(section, {}), section),
                              key: value}

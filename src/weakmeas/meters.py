@@ -44,8 +44,9 @@ class GridSpec:
         if n > MAX_N_POINTS:
             raise ValueError(f"n_points must be at most {MAX_N_POINTS}, "
                              f"got {n}")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < np.inf:     # NaN fails both
+            raise ValueError(f"half_width must be positive and finite, "
+                             f"got {self.half_width!r}")
 
     @property
     def spacing(self) -> float:

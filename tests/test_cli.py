@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +164,40 @@ class TestConfigValidation:
         data["system"]["s"] = [[1, 0], [True, 0]]
         with pytest.raises(ConfigError, match="number"):
             ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("build", [
+        lambda: MeterConfig(n_points=2.5),
+        lambda: MeterConfig(rho="1"),
+        lambda: MonteCarloConfig(seed=True),
+        lambda: MonteCarloConfig(n_trials="5"),
+        lambda: replace(preset("aav100"), schema_version=True),
+    ], ids=["n_points", "rho", "seed", "n_trials", "schema_version"])
+    def test_direct_construction_runs_the_json_checks(self, build):
+        with pytest.raises(ConfigError):
+            build()
+
+    def test_json_style_lists_construct_the_parsed_config(self):
+        data = json.loads("""{
+            "scenario": "sweep-rho",
+            "system": {"A": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+                       "s": [1, [0, 1]], "f": [1, 0]},
+            "meter": {"kind": "grid", "rho": 3, "n_points": 256.0},
+            "eps_schedule": [0.01, 0.005], "rho_values": [-5, 0, 5],
+            "mc": {"n_trials": 1e4, "seed": 4}}""")
+        system = data["system"]
+        direct = ExperimentConfig(
+            scenario=data["scenario"], a_entries=system["A"],
+            s_amps=system["s"], f_amps=system["f"],
+            meter=MeterConfig(**data["meter"]),
+            eps_values=data["eps_schedule"], rho_values=data["rho_values"],
+            mc=MonteCarloConfig(**data["mc"]))
+        parsed = ExperimentConfig.from_dict(data)
+        assert direct == parsed
+        # the same canonical values, down to the JSON they write
+        assert json.dumps(direct.to_dict()) == json.dumps(parsed.to_dict())
+        assert direct.s_amps == ((1.0, 0.0), (0.0, 1.0))
+        assert direct.mc.n_trials == 10_000
+        assert isinstance(direct.mc.n_trials, int)
 
 
 class TestPresets:
@@ -579,6 +616,14 @@ class TestMainEntry:
                        {"mc": {"n_trials": 2500.9}}, {"mc": {"seed": 1.5}},
                        {"schema_version": 1.7},
                        {"meter": {"n_points": 256.5}}]
+        # a key that names no field is refused at every level, by name
+        system = generic_config().to_dict()["system"]
+        unknown = {"eps": {"eps": [0.01]},
+                   "g": {"system": {**system, "g": [1, 0]}},
+                   "npoints": {"meter": {"kind": "grid", "npoints": 256}},
+                   "trails": {"mc": {"trails": 5}},
+                   "fromat": {"output": {"fromat": "json"}}}
+        wrong_types += unknown.values()
         for i, patch in enumerate(wrong_types):
             data = patch if isinstance(patch, list) \
                 else {**generic_config().to_dict(), **patch}
@@ -591,10 +636,14 @@ class TestMainEntry:
                                     "meter": {"kind": "grid",
                                               "n_points": 2 ** 40}}))
         cases.append(["weak-value", "--config", str(huge)])
+        errors = {}
         for argv in cases:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error:")
+            errors[argv[-1]] = err
+        for i, key in enumerate(unknown, len(wrong_types) - len(unknown)):
+            assert repr(key) in errors[str(tmp_path / f"wrong{i}.json")]
         # a whole float is an int: JSON 1e6 loads as 1000000.0
         path = tmp_path / "whole.json"
         path.write_text(json.dumps({**generic_config().to_dict(),
@@ -631,6 +680,19 @@ class TestGoldenReports:
         want = (GOLDEN / f"{name}.{scenario}.csv").read_bytes()
         assert (out + err).encode() == want
         assert code == (2 if err else 0)
+
+    def test_module_entry_point_matches_golden(self):
+        import weakmeas
+        src = str(pathlib.Path(weakmeas.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "weakmeas.cli", "weak-value",
+             "--preset", "nonunique-rho50"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env)
+        want = (GOLDEN / "nonunique-rho50.weak-value.csv").read_bytes()
+        assert proc.stdout == want
+        assert proc.returncode == 0
 
 
 class TestUndefinedRowThroughCli:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,8 +76,10 @@ class TestGridSpec:
             GridSpec(300, 10.0)
 
     def test_rejects_nonpositive_width(self):
-        with pytest.raises(ValueError):
-            GridSpec(256, 0.0)
+        # NaN fails every comparison, so a sign test alone lets it through
+        for width in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="half_width"):
+                GridSpec(256, width)
 
     def test_rejects_oversized_grid(self):
         GridSpec(MAX_N_POINTS, 20.0)
