@@ -252,7 +252,7 @@ class ExperimentConfig:
                 f"s has {s.dim}, f has {f.dim}"
             )
         if not self.eps_values:
-            raise ConfigError("eps_values must not be empty")
+            raise ConfigError("eps_schedule must not be empty")
         for e in self.eps_values:
             if not (0.0 < e <= 0.5):
                 raise ConfigError(f"eps value {e!r} outside (0, 0.5]")

@@ -193,12 +193,14 @@ def gaussian_grid_meter(grid: GridSpec, rho: float) -> GridMeter:
 
     The continuum moments are <m, Bm> = 0 and <m, BGm> = rho + i/2; on an
     adequate grid (defaults: n = 1024, L = 20) the discretization error
-    sits at the 1e-10 level. Coarse or narrow grids surface as a
-    CalibrationError. The meter works with length-n vectors and FFTs
-    (see GridMeter), so building and using it never forms an n x n
-    matrix.
+    sits at the 1e-10 level. Coarse or narrow grids, and a non-finite
+    rho, surface as a CalibrationError. The meter works with length-n
+    vectors and FFTs (see GridMeter), so building and using it never
+    forms an n x n matrix.
     """
     meter = GridMeter(grid, float(rho))
+    if not np.isfinite(meter.rho):
+        raise CalibrationError(f"grid meter rho {meter.rho!r} is not finite")
     try:
         verify_calibration(meter)
     except CalibrationError as exc:

@@ -11,7 +11,9 @@ Reproducibility contract: trials are numbered, and trial i draws its
 uniforms from the i-th counter block of a Philox stream keyed by the
 seed (one block is four doubles; a trial consumes the first two). A run
 sharded as [0, k) + [k, n) therefore reproduces the serial run [0, n)
-bit for bit, for any split points.
+bit for bit, for any split points. Trials are drawn CHUNK_TRIALS at a
+time from that stream, so memory is O(CHUNK_TRIALS) for any trial count,
+and a run of at most 2^18 trials keeps the estimate bits of one array.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 
 from .hilbert import Observable, StateVector
 from .protocol import OutcomeTable, WeakSetup, coupled_state, projective_tables
+
+CHUNK_TRIALS = 2 ** 18        # trials per pass: 8 MiB of uniforms
 
 
 @dataclass(frozen=True)
@@ -101,26 +105,35 @@ def _philox_generator(seed: int, trial_offset: int) -> np.random.Generator:
 
 def _sample(table: OutcomeTable, n_trials: int, seed: int,
             trial_offset: int) -> MonteCarloRun:
-    """Draw numbered trials from a table, vectorized: each trial picks an
-    eigenspace with its Born probability, then passes the postselection
-    with the conditional probability joint / marginal."""
+    """Draw numbered trials from a table, CHUNK_TRIALS at a time: each
+    trial picks an eigenspace with its Born probability, then passes the
+    postselection with the conditional probability joint / marginal."""
     if n_trials < 1:
         raise ValueError("need at least one trial")
     values, marginal, joint = table
     rng = _philox_generator(seed, trial_offset)
-    u = rng.random((n_trials, 4))
     cum = np.cumsum(marginal)
-    gi = np.searchsorted(cum, u[:, 0] * cum[-1], side="right")
-    np.clip(gi, 0, len(values) - 1, out=gi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(marginal > 0, joint / np.maximum(marginal, 1e-300), 0.0)
-    ok = u[:, 1] < cond[gi]
-    # cell 2 * gi holds the successes of branch gi, the next its failures
-    counts = np.bincount(2 * gi + ~ok, minlength=2 * len(values))
-    hits = values[gi[ok]]
-    n = hits.size
-    mean = float(hits.mean()) if n else math.nan
-    err = float(hits.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    cond = np.where(marginal > 0, joint / np.maximum(marginal, 1e-300), 0.0)
+    buf = np.empty((min(CHUNK_TRIALS, n_trials), 4))
+    counts, n, mean, m2 = 0, 0, math.nan, 0.0
+    for start in range(0, n_trials, CHUNK_TRIALS):
+        u = rng.random(out=buf[:min(CHUNK_TRIALS, n_trials - start)])
+        gi = np.searchsorted(cum, u[:, 0] * cum[-1], side="right")
+        np.clip(gi, 0, len(values) - 1, out=gi)
+        ok = u[:, 1] < cond[gi]
+        # cell 2 * gi holds the successes of branch gi, the next its failures
+        counts += np.bincount(2 * gi + ~ok, minlength=2 * len(values))
+        hits = values[gi[ok]]
+        k = hits.size
+        if k:
+            # hits.mean() and hits.var(ddof=1) per chunk; Chan et al. merge
+            mean_k = float(hits.sum() / k)
+            m2_k = float(((hits - mean_k) ** 2).sum())
+            if n:
+                m2_k += (mean_k - mean) ** 2 * n * k / (n + k)
+                mean_k = mean + (mean_k - mean) * k / (n + k)
+            n, mean, m2 = n + k, mean_k, m2 + m2_k
+    err = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
     return MonteCarloRun(table, counts.reshape(-1, 2),
                          EstimateWithError(mean, err, n, n_trials, seed))
 

@@ -389,8 +389,12 @@ def weak_value_closed_form(setup: WeakSetup) -> float:
     with <m, BGm> = rho + i/2 this is Re(ratio) + 2 rho Im(ratio): the
     meter-independent traditional term plus a meter-tunable one.
     """
-    ratio = aav_complex_weak_value(setup.A, setup.s, setup.f)
-    return 2.0 * (ratio * coupling_moment(setup.meter)).imag
+    return _closed_form(aav_complex_weak_value(setup.A, setup.s, setup.f),
+                        coupling_moment(setup.meter))
+
+
+def _closed_form(ratio: complex, mom: complex) -> float:
+    return 2.0 * (ratio * mom).imag
 
 
 def projective_tables(a: Observable, s: StateVector,
@@ -459,13 +463,14 @@ def weak_value_report(sweep: EpsSweep) -> WeakValueReport:
     setup = sweep.setup
     ex = weak_value_extrapolation(sweep)
     ratio = aav_complex_weak_value(setup.A, setup.s, setup.f)
+    mom = coupling_moment(setup.meter)
     return WeakValueReport(
         numeric=ex.limit,
         numeric_error=ex.error_estimate,
-        closed_form=weak_value_closed_form(setup),
+        closed_form=_closed_form(ratio, mom),
         traditional=ratio.real,
         aav_complex=ratio,
         projective_conditional=_projective_or_none(setup.A, setup.s,
                                                    setup.f),
-        rho_effective=coupling_moment(setup.meter).real,
+        rho_effective=mom.real,
     )

@@ -4,14 +4,16 @@ The branch tables and the disturbance walk the eigenspaces one at a
 time, as the physics is usually written down, so the loop-free library
 code can be checked against them. The dense Hilbert-space primitives
 (inner product, product state, operator tensor product, spectral
-evolution, projector, validated density matrix, meter partial trace)
-and the one-trial sampler spell out what the library computes in
-factored or vectorized form. They take a StateVector or a plain,
-possibly unnormalized, amplitude array, and return amplitude arrays.
+evolution, projector, validated density matrix, meter partial trace),
+the one-trial sampler and the single-array sampler spell out what the
+library computes in factored, vectorized or chunked form. They take a
+StateVector or a plain, possibly unnormalized, amplitude array, and
+return amplitude arrays.
 The single-eps readings prepare their own coupled state, one eps at a
 time, so the library's eps sweep can be checked against them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,12 @@ from weakmeas.hilbert import (
     real_part,
     trace_distance,
 )
-from weakmeas.oracle import _branch_tables
+from weakmeas.oracle import (
+    EstimateWithError,
+    MonteCarloRun,
+    _branch_tables,
+    _philox_generator,
+)
 from weakmeas.protocol import (
     EMPTY_PROB,
     EmptyPostselectionError,
@@ -156,6 +163,29 @@ def sample_run(setup, eps: float, rng: np.random.Generator) -> Outcome:
         b_value=float(b_vals[gi]),
         postselected=bool(u[1] < success_given_branch),
     )
+
+
+def sample_table(table, n_trials, seed, trial_offset=0):
+    """Draw every trial of a run from one (n_trials, 4) block of uniforms
+    and estimate with hits.mean() and hits.std(ddof=1) over the whole run:
+    the chunked sampler must give the same counts, and the same estimate
+    bits while a run fits in one chunk."""
+    values, marginal, joint = table
+    rng = _philox_generator(seed, trial_offset)
+    u = rng.random((n_trials, 4))
+    cum = np.cumsum(marginal)
+    gi = np.searchsorted(cum, u[:, 0] * cum[-1], side="right")
+    np.clip(gi, 0, len(values) - 1, out=gi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(marginal > 0, joint / np.maximum(marginal, 1e-300), 0.0)
+    ok = u[:, 1] < cond[gi]
+    counts = np.bincount(2 * gi + ~ok, minlength=2 * len(values))
+    hits = values[gi[ok]]
+    n = hits.size
+    mean = float(hits.mean()) if n else math.nan
+    err = float(hits.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    return MonteCarloRun(table, counts.reshape(-1, 2),
+                         EstimateWithError(mean, err, n, n_trials, seed))
 
 
 def large_zero_mean_system(rng):

@@ -636,6 +636,11 @@ class TestMainEntry:
                                     "meter": {"kind": "grid",
                                               "n_points": 2 ** 40}}))
         cases.append(["weak-value", "--config", str(huge)])
+        # an empty schedule is named by the key the config file uses
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({**generic_config().to_dict(),
+                                     "eps_schedule": []}))
+        cases.append(["weak-value", "--config", str(empty)])
         errors = {}
         for argv in cases:
             assert main(argv) == 2, argv
@@ -644,6 +649,7 @@ class TestMainEntry:
             errors[argv[-1]] = err
         for i, key in enumerate(unknown, len(wrong_types) - len(unknown)):
             assert repr(key) in errors[str(tmp_path / f"wrong{i}.json")]
+        assert errors[str(empty)] == "error: eps_schedule must not be empty\n"
         # a whole float is an int: JSON 1e6 loads as 1000000.0
         path = tmp_path / "whole.json"
         path.write_text(json.dumps({**generic_config().to_dict(),

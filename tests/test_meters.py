@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,9 +149,11 @@ class TestGaussianGridMeter:
 
     @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
     def test_non_finite_rho_fails_calibration(self, rho):
-        # the coupling moment is nan + nan i; a NaN residual must not pass
-        with pytest.raises(CalibrationError):
-            gaussian_grid_meter(GridSpec.default(), rho)
+        # refused before the grid is touched, where inf * 0 would warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CalibrationError, match="not finite"):
+                gaussian_grid_meter(GridSpec.default(), rho)
 
 
 def random_state(rng, dim):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from weakmeas.oracle import (
     monte_carlo_run,
     projective_A_oracle,
 )
-from weakmeas.oracle import _branch_tables, _philox_generator
+from weakmeas.oracle import (
+    CHUNK_TRIALS,
+    _branch_tables,
+    _philox_generator,
+    _sample,
+)
 from weakmeas.protocol import (
     EmptyPostselectionError,
     MeterSpec,
@@ -317,3 +323,80 @@ class TestProjectiveOracle:
                  projective_A_oracle(a, CIRC, E1, 200, seed=55,
                                      trial_offset=200)]
         assert full.n_success == sum(p.n_success for p in parts)
+
+
+def chunk_test_table(kind):
+    if kind == "qubit":
+        return _branch_tables(canonical_setup(50.0), 1e-2)
+    rng = np.random.default_rng(331)
+    return projective_tables(random_hermitian(rng, 3), random_state(rng, 3),
+                             random_state(rng, 3))
+
+
+class TestChunkedSampler:
+    """The chunked sampler against the single-array reference on both
+    sides of each chunk edge. Seed 2722 makes trial CHUNK_TRIALS pass
+    the postselection in both tables, so a one-hit chunk is merged."""
+
+    @pytest.mark.parametrize("kind", ["qubit", "projective"])
+    @pytest.mark.parametrize("n", [CHUNK_TRIALS - 1, CHUNK_TRIALS,
+                                   CHUNK_TRIALS + 1, 2 * CHUNK_TRIALS + 7])
+    def test_matches_single_array_reference(self, kind, n):
+        table = chunk_test_table(kind)
+        got = _sample(table, n, 2722, 0)
+        want = reference.sample_table(table, n, 2722)
+        assert got.counts.dtype == want.counts.dtype
+        np.testing.assert_array_equal(got.counts, want.counts)
+        got, want = got.estimate, want.estimate
+        assert got.n_success == want.n_success
+        if n <= CHUNK_TRIALS:
+            assert got == want
+        else:
+            assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0)
+            assert got.std_error == pytest.approx(want.std_error, rel=1e-12,
+                                                  abs=0)
+
+    def test_shards_split_inside_and_on_chunk_edges(self):
+        # the middle shard spans a chunk edge of its own at 12_345 +
+        # CHUNK_TRIALS; the last starts on an edge of the serial run
+        setup = canonical_setup(50.0)
+        eps, seed, n = 1e-2, 606, 2 * CHUNK_TRIALS + 7
+        full = monte_carlo_run(setup, eps, n, seed)
+        merged = np.zeros_like(full.counts)
+        bounds = (0, 12_345, 2 * CHUNK_TRIALS, n)
+        for lo, hi in zip(bounds, bounds[1:]):
+            merged += monte_carlo_run(setup, eps, hi - lo, seed,
+                                      trial_offset=lo).counts
+        np.testing.assert_array_equal(merged, full.counts)
+
+
+MIB = 2 ** 20
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced by tracemalloc while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """A single (n_trials, 4) block of uniforms would be 92 MiB at 3e6
+    trials; the chunked sampler holds O(CHUNK_TRIALS) whatever n_trials."""
+
+    def test_peak_below_32_mib_at_3e6_trials(self):
+        setup = canonical_setup(50.0)
+        assert traced_peak(monte_carlo_run, setup, 1e-2, 3_000_000, 1) \
+            < 32 * MIB
+        assert traced_peak(projective_A_oracle, Observable(SX), CIRC, E1,
+                           3_000_000, 1) < 32 * MIB
+
+    def test_peak_does_not_grow_with_trial_count(self):
+        setup = canonical_setup(50.0)
+        four, sixteen = (traced_peak(monte_carlo_run, setup, 1e-2,
+                                     chunks * CHUNK_TRIALS, 1)
+                         for chunks in (4, 16))
+        assert sixteen <= four + MIB

@@ -542,6 +542,22 @@ class TestWeakValueReport:
         assert abs(rep.numeric - rep.closed_form) <= 10 * max(
             rep.numeric_error, 1e-9)
 
+    def test_each_quantity_computed_once(self, monkeypatch):
+        # on the grid meter each coupling moment is an FFT pair
+        import weakmeas.protocol as protocol
+        record = eps_sweep(canonical_setup(50.0))
+        calls = []
+        for name in ("coupling_moment", "aav_complex_weak_value"):
+            real = getattr(protocol, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(protocol, name, counting)
+        weak_value_report(record)
+        assert sorted(calls) == ["aav_complex_weak_value", "coupling_moment"]
+
 
 class TestEpsSweep:
     """The record against the single-eps formulas in tests/reference.py,
