@@ -33,7 +33,7 @@ from .meters import (
     gaussian_grid_meter,
     qubit_meter,
 )
-from .oracle import monte_carlo_run, projective_A_oracle
+from .oracle import monte_carlo_pair, monte_carlo_run
 from .protocol import (
     DEFAULT_EPS,
     EpsSchedule,
@@ -41,10 +41,10 @@ from .protocol import (
     MeterSpec,
     UndefinedWeakValueError,
     WeakSetup,
-    _projective_or_none,
     coupling_moment,
     disturbance,
     eps_sweep,
+    projective_conditional_or_none,
     unconditional_limit,
     weak_value_closed_form,
     weak_value_report,
@@ -415,15 +415,17 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
-def _weak_value_fields(sweep: EpsSweep) -> dict:
-    """The weak-value column family for one sweep, undefined-safe."""
+def _weak_value_fields(sweep: EpsSweep):
+    """The weak-value column family for one sweep, undefined-safe, and
+    the coupling moment <m, BGm>: the weak-value report's, or computed
+    afresh when the weak value is undefined and there is no report."""
     try:
         report = weak_value_report(sweep)
     except UndefinedWeakValueError:
         setup = sweep.setup
-        return {"projective_cond": _projective_or_none(setup.A, setup.s,
-                                                       setup.f),
-                "status": STATUS_UNDEFINED}
+        return {"projective_cond": projective_conditional_or_none(
+                    setup.A, setup.s, setup.f),
+                "status": STATUS_UNDEFINED}, coupling_moment(setup.meter)
     return {
         "wv_numeric": report.numeric,
         "wv_closed": report.closed_form,
@@ -432,7 +434,7 @@ def _weak_value_fields(sweep: EpsSweep) -> dict:
         "wv_aav_im": report.aav_complex.imag,
         "projective_cond": report.projective_conditional,
         "status": STATUS_OK,
-    }
+    }, report.coupling_moment
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +457,13 @@ def _clean(obj):
 def run_weak_value(config: ExperimentConfig):
     """Every weak-value notion for one setup, side by side."""
     setup = config.setup()
-    row = ResultRow(scenario="weak-value", rho=config.meter.rho,
-                    **_weak_value_fields(eps_sweep(setup, config.schedule())))
+    fields, mom = _weak_value_fields(eps_sweep(setup, config.schedule()))
+    row = ResultRow(scenario="weak-value", rho=config.meter.rho, **fields)
     return [row], {
         "closed_minus_numeric": None
         if row.wv_numeric is None or row.wv_closed is None
         else row.wv_closed - row.wv_numeric,
-        "rho_effective": coupling_moment(setup.meter).real,
+        "rho_effective": mom.real,
     }
 
 
@@ -475,7 +477,7 @@ def run_sweep_rho(config: ExperimentConfig):
     setups = [base] + [replace(base, meter=config.meter_spec(rho))
                        for rho in rhos[1:]]
     rows = [ResultRow(scenario="sweep-rho", rho=rho,
-                      **_weak_value_fields(eps_sweep(setup, sched)))
+                      **_weak_value_fields(eps_sweep(setup, sched))[0])
             for rho, setup in zip(rhos, setups)]
     # None when the weak value is undefined; then no row has wv_closed
     aav_imag = rows[0].wv_aav_im
@@ -571,11 +573,10 @@ def run_aav_grid(config: ExperimentConfig):
     grid = config.grid_spec()
     meter = gaussian_grid_meter(grid, rho)
     setup = WeakSetup(config.A, config.s, config.f, meter)
-    row = ResultRow(scenario="aav-grid", rho=rho,
-                    **_weak_value_fields(eps_sweep(setup, config.schedule())))
+    fields, mom = _weak_value_fields(eps_sweep(setup, config.schedule()))
+    row = ResultRow(scenario="aav-grid", rho=rho, **fields)
     m = meter.m.amps
     read = complex(np.vdot(m, meter.apply_B(m)))      # B = Q
-    mom = coupling_moment(meter)
     conj_chirp = chirped_gaussian_state(grid, -rho).amps
     chirp_mom = complex(np.vdot(conj_chirp,
                                 meter.apply_B(meter.apply_P(conj_chirp))))
@@ -602,12 +603,16 @@ def run_compare(config: ExperimentConfig):
     The row carries the conditional quantities (weak value columns,
     projective_cond, and the sampled conditional mean divided by eps).
     The summary adds the unconditional agreement check, read off the same
-    Monte Carlo run, and a sampled projective measurement.
+    Monte Carlo run, and a sampled projective measurement. Both samples
+    come from one pass over the same numbered trials, so the weak-meter
+    and projective estimates use common random numbers and are
+    correlated; each equals its own run with the same seed bit for bit.
     """
     setup = config.setup()
     sweep = eps_sweep(setup, config.schedule())
     eps = config.eps_values[0]
-    run = monte_carlo_run(setup, eps, config.mc.n_trials, config.mc.seed)
+    run, proj_run = monte_carlo_pair(setup, eps, config.mc.n_trials,
+                                     config.mc.seed)
     est = run.estimate
     mc_mean = _finite_or_none(est.mean)
     mc_err = _finite_or_none(est.std_error)
@@ -618,7 +623,7 @@ def run_compare(config: ExperimentConfig):
         mc_mean=None if mc_mean is None else mc_mean / eps,
         mc_stderr=None if mc_err is None else mc_err / eps,
         mc_n_success=est.n_success,
-        **_weak_value_fields(sweep),
+        **_weak_value_fields(sweep)[0],
     )
     analytic = expectation(setup.A, setup.s)
     uncond = unconditional_limit(sweep)
@@ -628,8 +633,7 @@ def run_compare(config: ExperimentConfig):
     mc_uncond_mean = float((b * counts).sum() / n)
     var = float((b * b * counts).sum() / n - mc_uncond_mean ** 2)
     mc_uncond_err = math.sqrt(max(var, 0.0) * n / max(n - 1, 1)) / math.sqrt(n)
-    proj = projective_A_oracle(setup.A, setup.s, setup.f,
-                               config.mc.n_trials, config.mc.seed)
+    proj = proj_run.estimate
     return [row], {
         "unconditional": {
             "meter_limit": uncond,

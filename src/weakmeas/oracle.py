@@ -14,6 +14,10 @@ sharded as [0, k) + [k, n) therefore reproduces the serial run [0, n)
 bit for bit, for any split points. Trials are drawn CHUNK_TRIALS at a
 time from that stream, so memory is O(CHUNK_TRIALS) for any trial count,
 and a run of at most 2^18 trials keeps the estimate bits of one array.
+One pass may sample several tables: each reads the same uniforms, so
+each run equals its one-table run on the same seed and offset bit for
+bit, and runs of one pass use common random numbers and are correlated
+(``monte_carlo_pair``, which ``compare`` uses, is such a pass).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .hilbert import Observable, StateVector
 from .protocol import OutcomeTable, WeakSetup, coupled_state, projective_tables
 
 CHUNK_TRIALS = 2 ** 18        # trials per pass: 8 MiB of uniforms
+SCAN_MAX_BRANCHES = 32        # larger tables pick branches by bisection
 
 
 @dataclass(frozen=True)
@@ -103,39 +108,76 @@ def _philox_generator(seed: int, trial_offset: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _sample(table: OutcomeTable, n_trials: int, seed: int,
-            trial_offset: int) -> MonteCarloRun:
-    """Draw numbered trials from a table, CHUNK_TRIALS at a time: each
-    trial picks an eigenspace with its Born probability, then passes the
-    postselection with the conditional probability joint / marginal."""
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
-    values, marginal, joint = table
-    rng = _philox_generator(seed, trial_offset)
-    cum = np.cumsum(marginal)
-    cond = np.where(marginal > 0, joint / np.maximum(marginal, 1e-300), 0.0)
-    buf = np.empty((min(CHUNK_TRIALS, n_trials), 4))
-    counts, n, mean, m2 = 0, 0, math.nan, 0.0
-    for start in range(0, n_trials, CHUNK_TRIALS):
-        u = rng.random(out=buf[:min(CHUNK_TRIALS, n_trials - start)])
-        gi = np.searchsorted(cum, u[:, 0] * cum[-1], side="right")
-        np.clip(gi, 0, len(values) - 1, out=gi)
-        ok = u[:, 1] < cond[gi]
+class _Tally:
+    """One table's share of a sampling pass: per-branch counts and the
+    running mean and M2 of the accepted eigenvalues."""
+
+    def __init__(self, table: OutcomeTable):
+        values, marginal, joint = table
+        cum = np.cumsum(marginal)
+        self.table, self.total, self.edges = table, cum[-1], cum[:-1]
+        self.cond = np.where(marginal > 0,
+                             joint / np.maximum(marginal, 1e-300), 0.0)
+        self.counts = np.zeros(2 * len(values), dtype=np.intp)
+        self.n, self.mean, self.m2 = 0, math.nan, 0.0
+
+    def add(self, u: np.ndarray) -> None:
+        """Tally one chunk of trials, a row of uniforms per trial."""
+        gi = _pick_branch(self.edges, u[:, 0] * self.total)
+        ok = u[:, 1] < self.cond[gi]
         # cell 2 * gi holds the successes of branch gi, the next its failures
-        counts += np.bincount(2 * gi + ~ok, minlength=2 * len(values))
-        hits = values[gi[ok]]
+        self.counts += np.bincount(2 * gi + ~ok, minlength=self.counts.size)
+        hits = self.table.values[gi[ok]]
         k = hits.size
         if k:
             # hits.mean() and hits.var(ddof=1) per chunk; Chan et al. merge
+            n, mean = self.n, self.mean
             mean_k = float(hits.sum() / k)
             m2_k = float(((hits - mean_k) ** 2).sum())
             if n:
                 m2_k += (mean_k - mean) ** 2 * n * k / (n + k)
                 mean_k = mean + (mean_k - mean) * k / (n + k)
-            n, mean, m2 = n + k, mean_k, m2 + m2_k
-    err = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
-    return MonteCarloRun(table, counts.reshape(-1, 2),
-                         EstimateWithError(mean, err, n, n_trials, seed))
+            self.n, self.mean, self.m2 = n + k, mean_k, self.m2 + m2_k
+
+    def run(self, n_trials: int, seed: int) -> MonteCarloRun:
+        n = self.n
+        err = math.sqrt(self.m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
+        return MonteCarloRun(self.table, self.counts.reshape(-1, 2),
+                             EstimateWithError(self.mean, err, n, n_trials,
+                                               seed))
+
+
+def _pick_branch(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The branch each x falls in: the number of edges (the cumulative
+    marginals but the last) at or below it, which is what
+    searchsorted(cum, x, "right") clipped to the last branch gives.
+    Up to SCAN_MAX_BRANCHES branches, one comparison pass per edge beats
+    the binary search."""
+    if edges.size >= SCAN_MAX_BRANCHES:
+        return np.searchsorted(edges, x, side="right")
+    gi = np.zeros(x.size, dtype=np.intp)
+    for edge in edges:
+        gi += x >= edge
+    return gi
+
+
+def _sample(tables: list[OutcomeTable], n_trials: int, seed: int,
+            trial_offset: int) -> list[MonteCarloRun]:
+    """Draw numbered trials from each table, CHUNK_TRIALS at a time: each
+    trial picks an eigenspace with its Born probability, then passes the
+    postselection with the conditional probability joint / marginal.
+    Every table reads the same uniforms, so each run equals its one-table
+    run bit for bit."""
+    if n_trials < 1:
+        raise ValueError("need at least one trial")
+    rng = _philox_generator(seed, trial_offset)
+    tallies = [_Tally(table) for table in tables]
+    buf = np.empty((min(CHUNK_TRIALS, n_trials), 4))
+    for start in range(0, n_trials, CHUNK_TRIALS):
+        u = rng.random(out=buf[:min(CHUNK_TRIALS, n_trials - start)])
+        for tally in tallies:
+            tally.add(u)
+    return [tally.run(n_trials, seed) for tally in tallies]
 
 
 def monte_carlo_run(setup: WeakSetup, eps: float, n_trials: int, seed: int,
@@ -145,7 +187,9 @@ def monte_carlo_run(setup: WeakSetup, eps: float, n_trials: int, seed: int,
     ``trial_offset`` names the first trial, so shards of one logical run
     reproduce the serial result exactly when their counts are merged.
     """
-    return _sample(_branch_tables(setup, eps), n_trials, seed, trial_offset)
+    run, = _sample([_branch_tables(setup, eps)], n_trials, seed,
+                   trial_offset)
+    return run
 
 
 def projective_A_oracle(a: Observable, s: StateVector, f: StateVector,
@@ -158,5 +202,22 @@ def projective_A_oracle(a: Observable, s: StateVector, f: StateVector,
     eigenvalues average to the projective conditional expectation, which
     stays inside A's spectrum no matter how the weak values misbehave.
     """
-    return _sample(projective_tables(a, s, f), n_trials, seed,
-                   trial_offset).estimate
+    run, = _sample([projective_tables(a, s, f)], n_trials, seed,
+                   trial_offset)
+    return run.estimate
+
+
+def monte_carlo_pair(setup: WeakSetup, eps: float, n_trials: int, seed: int,
+                     trial_offset: int = 0) -> tuple[MonteCarloRun,
+                                                     MonteCarloRun]:
+    """The meter readout at eps and a projective A measurement, both with
+    the postselection, sampled in one pass over the same numbered trials.
+
+    Each run equals its one-table run (``monte_carlo_run`` and
+    ``projective_A_oracle`` with the same seed and offset) bit for bit.
+    The two read common random numbers, so their estimates are
+    correlated. Neither raises on an empty postselection.
+    """
+    return tuple(_sample([_branch_tables(setup, eps),
+                          projective_tables(setup.A, setup.s, setup.f)],
+                         n_trials, seed, trial_offset))

@@ -181,7 +181,12 @@ class WeakValueReport:
     traditional: float
     aav_complex: complex
     projective_conditional: float | None
-    rho_effective: float
+    coupling_moment: complex
+
+    @property
+    def rho_effective(self) -> float:
+        """Re<m, BGm>, the rho a calibrated meter realises."""
+        return self.coupling_moment.real
 
 
 class OutcomeTable(NamedTuple):
@@ -431,7 +436,8 @@ def projective_conditional_expectation(a: Observable, s: StateVector,
     return projective_tables(a, s, f).conditional_mean
 
 
-def _projective_or_none(a: Observable, s: StateVector, f: StateVector):
+def projective_conditional_or_none(a: Observable, s: StateVector,
+                                   f: StateVector):
     """The projective conditional expectation, or None when the
     postselection is numerically empty."""
     try:
@@ -470,7 +476,7 @@ def weak_value_report(sweep: EpsSweep) -> WeakValueReport:
         closed_form=_closed_form(ratio, mom),
         traditional=ratio.real,
         aav_complex=ratio,
-        projective_conditional=_projective_or_none(setup.A, setup.s,
-                                                   setup.f),
-        rho_effective=mom.real,
+        projective_conditional=projective_conditional_or_none(
+            setup.A, setup.s, setup.f),
+        coupling_moment=mom,
     )

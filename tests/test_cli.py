@@ -445,6 +445,37 @@ class TestCompareScenario:
         run_scenario(replace(cfg, scenario="sample"))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("scenario, orthogonal, n_calls", [
+        ("weak-value", False, 2), ("aav-grid", False, 4),
+        # no weak-value report to read the moment from: computed afresh
+        ("weak-value", True, 2)])
+    def test_coupling_moment_read_off_the_report(self, scenario, orthogonal,
+                                                  n_calls, monkeypatch):
+        # one call calibrates each meter; weak-value's summary and
+        # aav-grid's reuse the report's moment (aav-grid's other two
+        # calls are its qubit meter's calibration and closed form)
+        from weakmeas import cli, protocol
+        calls = []
+        real = protocol.coupling_moment
+
+        def counting(meter):
+            calls.append(meter)
+            return real(meter)
+
+        monkeypatch.setattr(protocol, "coupling_moment", counting)
+        monkeypatch.setattr(cli, "coupling_moment", counting)
+        cfg = replace(preset("aav100"), scenario=scenario)
+        if orthogonal:
+            cfg = replace(cfg, s_amps=((1.0, 0.0), (0.0, 0.0)),
+                          f_amps=((0.0, 0.0), (1.0, 0.0)))
+        _, summary = run_scenario(cfg)
+        assert len(calls) == n_calls
+        moment = real(calls[0])
+        if scenario == "weak-value":
+            assert summary["rho_effective"] == moment.real
+        else:
+            assert summary["coupling_moment"] == [moment.real, moment.imag]
+
 
 class TestLargeEntryObservable:
     """Hermitian A with entries of about 1e7: the imaginary roundoff of
@@ -727,3 +758,18 @@ class TestUndefinedRowThroughCli:
         assert report["summary"]["aav_imag"] is None
         assert report["summary"]["expected_slope"] is None
         assert "fitted_slope" not in report["summary"]
+
+    def test_compare_samples_an_empty_postselection(self, tmp_path, capsys):
+        # the weak meter still passes a few trials at eps > 0; the
+        # sampled meter table must not refuse the run
+        cfg = generic_config(scenario="compare",
+                             s_amps=((1.0, 0.0), (0.0, 0.0)),
+                             f_amps=((0.0, 0.0), (1.0, 0.0)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg.save(str(cfg_path))
+        assert main(["compare", "--config", str(cfg_path),
+                     "--format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["status"] == STATUS_UNDEFINED
+        assert row["mc_n_success"] == 4
+        assert math.isfinite(row["mc_stderr"])

@@ -11,11 +11,13 @@ from weakmeas.oracle import (
     EstimateWithError,
     MonteCarloRun,
     exact_outcome_distribution,
+    monte_carlo_pair,
     monte_carlo_run,
     projective_A_oracle,
 )
 from weakmeas.oracle import (
     CHUNK_TRIALS,
+    SCAN_MAX_BRANCHES,
     _branch_tables,
     _philox_generator,
     _sample,
@@ -325,36 +327,103 @@ class TestProjectiveOracle:
         assert full.n_success == sum(p.n_success for p in parts)
 
 
+def tie_table(n_edges):
+    """A table whose cumulative marginals are the first trials' own
+    u[:, 0] draws at seed 2722, so those trials land exactly on an edge.
+
+    The draws are multiples of 2^-53 below 1, so every difference and
+    partial sum is exact and the cumsum gives the edges back. Every third
+    edge is repeated and the last is 1 twice: those branches have zero
+    marginal, one of them last.
+    """
+    u0 = _philox_generator(2722, 0).random((n_edges, 4))[:, 0]
+    edges = np.sort(np.concatenate([u0, u0[::3], [1.0, 1.0]]))
+    marginal = np.diff(edges, prepend=0.0)
+    assert np.array_equal(np.cumsum(marginal), edges)
+    return OutcomeTable(np.arange(edges.size, dtype=float), marginal,
+                        marginal / 2)
+
+
 def chunk_test_table(kind):
+    """Tables on both sides of SCAN_MAX_BRANCHES: the qubit readout (2
+    branches), a projective one (3), two with ties and zero-marginal
+    branches (9 and 70), and the n = 1024 grid readout."""
     if kind == "qubit":
         return _branch_tables(canonical_setup(50.0), 1e-2)
+    if kind == "grid":
+        meter = gaussian_grid_meter(GridSpec(1024, 12.0), 3.0)
+        return _branch_tables(WeakSetup(Observable(SX), CIRC, E1, meter),
+                              1e-2)
+    if kind.startswith("ties"):
+        return tie_table(int(kind[4:]))
     rng = np.random.default_rng(331)
     return projective_tables(random_hermitian(rng, 3), random_state(rng, 3),
                              random_state(rng, 3))
 
 
+KINDS = ["qubit", "projective", "ties5", "ties51", "grid"]
+
+
+def assert_same_run(got, want, n):
+    assert got.counts.dtype == want.counts.dtype
+    np.testing.assert_array_equal(got.counts, want.counts)
+    got, want = got.estimate, want.estimate
+    assert got.n_success == want.n_success
+    if n <= CHUNK_TRIALS:
+        assert got == want
+    else:
+        assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0)
+        assert got.std_error == pytest.approx(want.std_error, rel=1e-12,
+                                              abs=0)
+
+
 class TestChunkedSampler:
     """The chunked sampler against the single-array reference on both
     sides of each chunk edge. Seed 2722 makes trial CHUNK_TRIALS pass
-    the postselection in both tables, so a one-hit chunk is merged."""
+    the postselection in the qubit and projective tables, so a one-hit
+    chunk is merged."""
 
-    @pytest.mark.parametrize("kind", ["qubit", "projective"])
+    def test_kinds_straddle_the_scan_limit(self):
+        sizes = [len(chunk_test_table(kind).values) for kind in KINDS]
+        assert sizes == [2, 3, 9, 70, 1024]
+        assert SCAN_MAX_BRANCHES in range(10, 70)
+        for kind in ("ties5", "ties51"):
+            table = chunk_test_table(kind)
+            assert (table.marginal == 0).sum() >= 2
+            assert table.marginal[-1] == 0
+
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [CHUNK_TRIALS - 1, CHUNK_TRIALS,
                                    CHUNK_TRIALS + 1, 2 * CHUNK_TRIALS + 7])
     def test_matches_single_array_reference(self, kind, n):
         table = chunk_test_table(kind)
-        got = _sample(table, n, 2722, 0)
-        want = reference.sample_table(table, n, 2722)
-        assert got.counts.dtype == want.counts.dtype
-        np.testing.assert_array_equal(got.counts, want.counts)
-        got, want = got.estimate, want.estimate
-        assert got.n_success == want.n_success
-        if n <= CHUNK_TRIALS:
-            assert got == want
-        else:
-            assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0)
-            assert got.std_error == pytest.approx(want.std_error, rel=1e-12,
-                                                  abs=0)
+        got, = _sample([table], n, 2722, 0)
+        assert_same_run(got, reference.sample_table(table, n, 2722), n)
+
+    @pytest.mark.parametrize("n, offset", [(CHUNK_TRIALS, 0),
+                                           (CHUNK_TRIALS + 1, 0),
+                                           (1000, 12_345)])
+    def test_shared_pass_matches_one_table_runs(self, n, offset):
+        tables = [chunk_test_table(kind) for kind in KINDS]
+        shared = _sample(tables, n, 2722, offset)
+        assert len(shared) == len(tables)
+        for table, got in zip(tables, shared):
+            assert got.table is table
+            alone, = _sample([table], n, 2722, offset)
+            np.testing.assert_array_equal(got.counts, alone.counts)
+            assert got.estimate == alone.estimate
+            assert_same_run(got, reference.sample_table(table, n, 2722,
+                                                        offset), n)
+
+    def test_pair_matches_public_one_table_runs(self):
+        setup = random_setup(np.random.default_rng(12), 4)
+        eps, n, seed = 1e-1, 5000, 91
+        meter, proj = monte_carlo_pair(setup, eps, n, seed, trial_offset=7)
+        alone = monte_carlo_run(setup, eps, n, seed, trial_offset=7)
+        np.testing.assert_array_equal(meter.counts, alone.counts)
+        assert meter.estimate == alone.estimate
+        assert proj.estimate == projective_A_oracle(
+            setup.A, setup.s, setup.f, n, seed, trial_offset=7)
 
     def test_shards_split_inside_and_on_chunk_edges(self):
         # the middle shard spans a chunk edge of its own at 12_345 +
@@ -393,6 +462,8 @@ class TestBoundedMemory:
             < 32 * MIB
         assert traced_peak(projective_A_oracle, Observable(SX), CIRC, E1,
                            3_000_000, 1) < 32 * MIB
+        assert traced_peak(monte_carlo_pair, setup, 1e-2, 3_000_000, 1) \
+            < 32 * MIB
 
     def test_peak_does_not_grow_with_trial_count(self):
         setup = canonical_setup(50.0)
