@@ -10,7 +10,9 @@ library computes in factored, vectorized or chunked form. They take a
 StateVector or a plain, possibly unnormalized, amplitude array, and
 return amplitude arrays.
 The single-eps readings prepare their own coupled state, one eps at a
-time, so the library's eps sweep can be checked against them.
+time, so the library's eps sweep can be checked against them. The grid
+meter's dense P and G are gathered entry by entry, so its strided build
+can be checked against them byte for byte.
 """
 
 import math
@@ -186,6 +188,19 @@ def sample_table(table, n_trials, seed, trial_offset=0):
     err = float(hits.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
     return MonteCarloRun(table, counts.reshape(-1, 2),
                          EstimateWithError(mean, err, n, n_trials, seed))
+
+
+def momentum_matrix(grid) -> np.ndarray:
+    """The grid's P gathered entry by entry from its circulant's first
+    column, P[i, l] = ifft(k)[(i - l) % n], through an n x n index array."""
+    n = grid.n_points
+    first = np.fft.ifft(grid.wavenumbers())
+    return first[(np.arange(n)[:, None] - np.arange(n)) % n]
+
+
+def coupling_matrix(grid, rho) -> np.ndarray:
+    """G = P + rho Q on the grid, as a sum of two dense matrices."""
+    return momentum_matrix(grid) + np.diag(rho * grid.points())
 
 
 def large_zero_mean_system(rng):

@@ -14,6 +14,7 @@ import pytest
 
 from dataclasses import replace
 
+from weakmeas import cli
 from weakmeas.cli import (
     CSV_COLUMNS,
     STATUS_OK,
@@ -623,6 +624,24 @@ class TestMainEntry:
                              "--format", fmt]) == 0
                 outs.append(capsys.readouterr().out)
             assert outs[0] == outs[1], fmt
+
+    def test_one_parser_serves_every_call(self, capsys):
+        argv = ["weak-value", "--preset", "aav100"]
+        cli._parser.cache_clear()
+        outs = []
+        for extra in ([], ["--bogus"], ["--help"], []):
+            try:
+                outs.append(main(argv + extra))
+            except SystemExit as exc:
+                outs.append(exc.code)
+            outs.append(capsys.readouterr())
+        first, bogus, help_, again = outs[1::2]
+        assert outs[::2] == [0, 2, 0, 0]
+        assert "error: unrecognized arguments: --bogus" in bogus.err
+        assert help_.out.startswith("usage: weakmeas")
+        assert again.out == first.out
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
 
     def test_exit_2_on_bad_inputs(self, tmp_path, capsys):
         cases = []

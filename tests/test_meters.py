@@ -9,7 +9,9 @@ from weakmeas.meters import (
     DEFAULT_HALF_WIDTH,
     DEFAULT_N_POINTS,
     MAX_N_POINTS,
+    GridMeter,
     GridSpec,
+    _momentum_matrix,
     chirped_gaussian_state,
     gaussian_grid_meter,
     momentum_operator,
@@ -223,6 +225,17 @@ class TestGridMeterAgainstDenseViews:
                 assert len(got[0]) == grid.n_points
                 for g, w in zip(got, want):
                     np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 4, 256, 1024])
+    def test_dense_views_match_gathered_matrices_bytewise(self, n):
+        grid = GridSpec(n, DEFAULT_HALF_WIDTH)
+        assert (_momentum_matrix(grid).tobytes()
+                == reference.momentum_matrix(grid).tobytes())
+        for rho in (0.0, 12.3, -37.5):
+            g = GridMeter(grid, rho).G.entries
+            want = reference.coupling_matrix(grid, rho)
+            assert g.dtype == want.dtype and g.shape == want.shape
+            assert g.tobytes() == want.tobytes(), rho
 
     def test_dense_views_are_built_on_first_read(self):
         meter = gaussian_grid_meter(GridSpec(128, 10.0), 1.0)

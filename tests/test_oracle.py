@@ -19,7 +19,9 @@ from weakmeas.oracle import (
     CHUNK_TRIALS,
     SCAN_MAX_BRANCHES,
     _branch_tables,
+    _guide_table,
     _philox_generator,
+    _pick_branch,
     _sample,
 )
 from weakmeas.protocol import (
@@ -364,6 +366,28 @@ def chunk_test_table(kind):
 KINDS = ["qubit", "projective", "ties5", "ties51", "grid"]
 
 
+def pick_test_marginal(kind):
+    """Marginals for the guide-table pick: K = 70 with ties and K = 1024
+    from chunk_test_table, 64 branches of 1/64 whose edges sit on the
+    left ends of the 256 guide cells, and runs of zero-marginal branches
+    at the start, in the middle and at the end."""
+    if kind == "on-cells":
+        return np.full(64, 1 / 64)
+    if kind == "zero-runs":
+        mass = np.random.default_rng(17).uniform(0.1, 1.0, size=20)
+        zeros = np.zeros(5)
+        return np.concatenate([zeros, mass[:10], zeros, mass[10:], zeros])
+    return chunk_test_table(kind).marginal
+
+
+PICK_KINDS = ["ties51", "grid", "on-cells", "zero-runs"]
+
+
+def edges_and_total(marginal):
+    cum = np.cumsum(marginal)
+    return cum[:-1], cum[-1]
+
+
 def assert_same_run(got, want, n):
     assert got.counts.dtype == want.counts.dtype
     np.testing.assert_array_equal(got.counts, want.counts)
@@ -387,6 +411,11 @@ class TestChunkedSampler:
         sizes = [len(chunk_test_table(kind).values) for kind in KINDS]
         assert sizes == [2, 3, 9, 70, 1024]
         assert SCAN_MAX_BRANCHES in range(10, 70)
+        # the first three are scanned, the last two use a guide table
+        guided = [_guide_table(*edges_and_total(chunk_test_table(kind)
+                                                .marginal)) is not None
+                  for kind in KINDS]
+        assert guided == [False, False, False, True, True]
         for kind in ("ties5", "ties51"):
             table = chunk_test_table(kind)
             assert (table.marginal == 0).sum() >= 2
@@ -399,6 +428,25 @@ class TestChunkedSampler:
         table = chunk_test_table(kind)
         got, = _sample([table], n, 2722, 0)
         assert_same_run(got, reference.sample_table(table, n, 2722), n)
+
+    @pytest.mark.parametrize("kind", PICK_KINDS)
+    def test_pick_matches_searchsorted(self, kind):
+        # uniforms, 0, every edge and its predecessor, and total itself:
+        # an x * scale that rounds up to nb must still find a cell
+        edges, total = edges_and_total(pick_test_marginal(kind))
+        guide = _guide_table(edges, total)
+        assert guide is not None
+        u = _philox_generator(5, 0).random(2 ** 14)
+        x = np.concatenate([u * total, [0.0, total, np.nextafter(total, 0)],
+                            edges, np.nextafter(edges, 0)])
+        want = np.searchsorted(edges, x, side="right")
+        np.testing.assert_array_equal(_pick_branch(edges, x, guide), want)
+        np.testing.assert_array_equal(_pick_branch(edges, x, None), want)
+        # a wrong start, below or above the branch, costs time, never
+        # the result
+        for wrong in (0, edges.size):
+            lost = guide._replace(start=np.full_like(guide.start, wrong))
+            np.testing.assert_array_equal(_pick_branch(edges, x, lost), want)
 
     @pytest.mark.parametrize("n, offset", [(CHUNK_TRIALS, 0),
                                            (CHUNK_TRIALS + 1, 0),
