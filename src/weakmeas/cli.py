@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .hilbert import (
+    DimensionMismatchError,
     HermiticityError,
     Observable,
     StateVector,
@@ -39,9 +40,9 @@ from .protocol import (
     DEFAULT_EPS,
     EpsSchedule,
     EpsSweep,
-    MeterSpec,
     UndefinedWeakValueError,
     WeakSetup,
+    check_system,
     coupling_moment,
     disturbance,
     eps_sweep,
@@ -66,14 +67,18 @@ class ConfigError(ValueError):
 
 
 def _is_number(x) -> bool:
-    # a JSON true loads as a Python int, but it is not a number
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # a JSON true loads as a Python int, but it is not a number; an int
+    # too large for a float is not one either, so float(x) cannot overflow
+    return isinstance(x, float) or (isinstance(x, int)
+                                    and not isinstance(x, bool)
+                                    and abs(x) <= sys.float_info.max)
 
 
 def _number(x, key: str, kind=float):
     """A finite config number, converted to ``kind``; booleans, strings,
-    JSON's Infinity/NaN and fractions where an int is due are refused
-    rather than coerced. A whole float such as JSON's 1e6 is an int."""
+    JSON's Infinity/NaN, ints past the float range and fractions where an
+    int is due are refused rather than coerced. A whole float such as
+    JSON's 1e6 is an int."""
     if not _is_number(x) or (isinstance(x, float) and not math.isfinite(x)):
         raise ConfigError(f"{key} must be a finite number, got {x!r}")
     if kind is int and x != int(x):
@@ -247,29 +252,31 @@ class ExperimentConfig:
             raise ConfigError(f"system observable: {exc}") from exc
         s = StateVector(_complex_array(self.s_amps))
         f = StateVector(_complex_array(self.f_amps))
-        if not (a.dim == s.dim == f.dim):
-            raise ConfigError(
-                f"system dims disagree: A is {a.dim}x{a.dim}, "
-                f"s has {s.dim}, f has {f.dim}"
-            )
+        try:
+            check_system(a, s, f)
+        except DimensionMismatchError as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.eps_values:
             raise ConfigError("eps_schedule must not be empty")
         for e in self.eps_values:
             if not (0.0 < e <= 0.5):
                 raise ConfigError(f"eps value {e!r} outside (0, 0.5]")
+        # sample reads only the first eps, so one value is a schedule; a
+        # longer one must be the EpsSchedule that the other scenarios build
+        if len(self.eps_values) > 1:
+            self.schedule()
         _store(self, A=a, s=s, f=f)
 
     def grid_spec(self) -> GridSpec:
         return GridSpec(self.meter.n_points, self.meter.half_width)
 
-    def meter_spec(self, rho: float = None) -> MeterSpec:
-        rho = self.meter.rho if rho is None else rho
-        if self.meter.kind == "qubit":
-            return qubit_meter(rho)
-        return gaussian_grid_meter(self.grid_spec(), rho)
-
     def setup(self, rho: float = None) -> WeakSetup:
-        return WeakSetup(self.A, self.s, self.f, self.meter_spec(rho))
+        """The system with the config's meter at ``rho``, by default at
+        the meter section's own rho."""
+        rho = self.meter.rho if rho is None else rho
+        meter = (qubit_meter(rho) if self.meter.kind == "qubit"
+                 else gaussian_grid_meter(self.grid_spec(), rho))
+        return WeakSetup(self.A, self.s, self.f, meter)
 
     def schedule(self) -> EpsSchedule:
         try:
@@ -324,61 +331,50 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# presets
+# presets: config data, read as a config file is read
 
-_SX = (((0.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, 0.0)))
-_SZ = (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (-1.0, 0.0)))
-_DELTA = 2.0 / 101.0
-
-
-def _preset_nonunique_rho50() -> ExperimentConfig:
-    """Circular preselection against sigma_x: the complex ratio is i, so
-    the qubit meter at rho = 50 reads a weak value of 100 where the
-    traditional and projective conditionals both read 0."""
-    return ExperimentConfig(
-        scenario="weak-value",
-        a_entries=_SX,
-        s_amps=((1.0, 0.0), (0.0, 1.0)),
-        f_amps=((1.0, 0.0), (0.0, 0.0)),
-        meter=MeterConfig(kind="qubit", rho=50.0),
-        rho_values=(-50.0, 0.0, 50.0),
-        mc=MonteCarloConfig(n_trials=200_000, seed=7),
-    )
-
-
-def _preset_aav100() -> ExperimentConfig:
-    """Nearly-orthogonal postselection against sigma_z: the traditional
-    weak value is 100 while both eigenvalues are +-1."""
-    return ExperimentConfig(
-        scenario="weak-value",
-        a_entries=_SZ,
-        s_amps=((1.0, 0.0), (1.0, 0.0)),
-        f_amps=((1.0, 0.0), (-1.0 + _DELTA, 0.0)),
-        meter=MeterConfig(kind="qubit", rho=0.0),
-        mc=MonteCarloConfig(n_trials=200_000, seed=7),
-    )
-
-
-def _preset_convexity_contrast() -> ExperimentConfig:
-    """The aav100 triple wired for the compare scenario: unconditional
-    readings agree with <s, As> while the two conditionals disagree."""
-    return replace(_preset_aav100(), scenario="compare")
-
+# Nearly-orthogonal postselection against sigma_z: the traditional weak
+# value is 100 while both eigenvalues are +-1.
+_AAV100 = {
+    "scenario": "weak-value",
+    "system": {"A": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+               "s": [[1.0, 0.0], [1.0, 0.0]],
+               "f": [[1.0, 0.0], [-1.0 + 2.0 / 101.0, 0.0]]},
+    "meter": {"kind": "qubit", "rho": 0.0},
+    "mc": {"n_trials": 200_000, "seed": 7},
+}
 
 _PRESETS = {
-    "nonunique-rho50": _preset_nonunique_rho50,
-    "aav100": _preset_aav100,
-    "convexity-contrast": _preset_convexity_contrast,
+    # Circular preselection against sigma_x: the complex ratio is i, so
+    # the qubit meter at rho = 50 reads a weak value of 100 where the
+    # traditional and projective conditionals both read 0.
+    "nonunique-rho50": {
+        "scenario": "weak-value",
+        "system": {"A": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+                   "s": [[1.0, 0.0], [0.0, 1.0]],
+                   "f": [[1.0, 0.0], [0.0, 0.0]]},
+        "meter": {"kind": "qubit", "rho": 50.0},
+        "rho_values": [-50.0, 0.0, 50.0],
+        "mc": {"n_trials": 200_000, "seed": 7},
+    },
+    "aav100": _AAV100,
+    # The aav100 triple wired for the compare scenario: unconditional
+    # readings agree with <s, As> while the two conditionals disagree.
+    "convexity-contrast": {**_AAV100, "scenario": "compare"},
 }
+
+
+def _preset_data(name: str) -> dict:
+    try:
+        return _PRESETS[name]
+    except KeyError:
+        raise ConfigError(f"unknown preset {name!r}; available: "
+                          f"{', '.join(sorted(_PRESETS))}") from None
 
 
 def preset(name: str) -> ExperimentConfig:
     """Look up a built-in named configuration."""
-    try:
-        return _PRESETS[name]()
-    except KeyError:
-        raise ConfigError(f"unknown preset {name!r}; available: "
-                          f"{', '.join(sorted(_PRESETS))}") from None
+    return ExperimentConfig.from_dict(_preset_data(name))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +384,9 @@ def preset(name: str) -> ExperimentConfig:
 @dataclass(frozen=True)
 class ResultRow:
     """One line of scenario output; its fields, in order, are the CSV
-    columns."""
+    columns. A float field holds a finite float or None: a value the run
+    could not produce, such as the mean of no accepted trial, is an empty
+    CSV cell and a JSON null."""
 
     scenario: str
     rho: float = None
@@ -405,15 +403,17 @@ class ResultRow:
     disturbance: float = None
     status: str = STATUS_OK
 
+    def __post_init__(self):
+        for name in _FLOAT_COLUMNS:
+            x = getattr(self, name)
+            if x is not None:
+                x = float(x)
+                object.__setattr__(self, name,
+                                   x if math.isfinite(x) else None)
+
 
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
-
-
-def _finite_or_none(x):
-    if x is None:
-        return None
-    x = float(x)
-    return x if math.isfinite(x) else None
+_FLOAT_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.type == "float")
 
 
 def _weak_value_fields(sweep: EpsSweep):
@@ -472,20 +472,18 @@ def run_sweep_rho(config: ExperimentConfig):
     """One weak-value row per rho; the closed form must move affinely."""
     if not config.rho_values:
         raise ConfigError("sweep-rho needs a nonempty rho_values list")
-    rhos = sorted(config.rho_values)
     sched = config.schedule()
-    base = config.setup(rho=rhos[0])
-    setups = [base] + [replace(base, meter=config.meter_spec(rho))
-                       for rho in rhos[1:]]
     rows = [ResultRow(scenario="sweep-rho", rho=rho,
-                      **_weak_value_fields(eps_sweep(setup, sched))[0])
-            for rho, setup in zip(rhos, setups)]
+                      **_weak_value_fields(eps_sweep(config.setup(rho),
+                                                     sched))[0])
+            for rho in sorted(config.rho_values)]
     # None when the weak value is undefined; then no row has wv_closed
     aav_imag = rows[0].wv_aav_im
     summary = {"aav_imag": aav_imag,
                "expected_slope": None if aav_imag is None else 2.0 * aav_imag}
     pairs = [(r.rho, r.wv_closed) for r in rows if r.wv_closed is not None]
-    if len(pairs) >= 2:
+    # a line through fewer than two distinct rho is not determined
+    if len({rho for rho, _ in pairs}) >= 2:
         slope, intercept = np.polyfit([p[0] for p in pairs],
                                       [p[1] for p in pairs], 1)
         summary.update(fitted_slope=float(slope),
@@ -533,8 +531,8 @@ def run_sample(config: ExperimentConfig):
         scenario="sample",
         rho=config.meter.rho,
         eps=eps,
-        mc_mean=_finite_or_none(est.mean),
-        mc_stderr=_finite_or_none(est.std_error),
+        mc_mean=est.mean,
+        mc_stderr=est.std_error,
         mc_n_success=est.n_success,
     )
     z = None
@@ -615,14 +613,12 @@ def run_compare(config: ExperimentConfig):
     run, proj_run = monte_carlo_pair(setup, eps, config.mc.n_trials,
                                      config.mc.seed)
     est = run.estimate
-    mc_mean = _finite_or_none(est.mean)
-    mc_err = _finite_or_none(est.std_error)
     row = ResultRow(
         scenario="compare",
         rho=config.meter.rho,
         eps=eps,
-        mc_mean=None if mc_mean is None else mc_mean / eps,
-        mc_stderr=None if mc_err is None else mc_err / eps,
+        mc_mean=est.mean / eps,
+        mc_stderr=est.std_error / eps,
         mc_n_success=est.n_success,
         **_weak_value_fields(sweep)[0],
     )
@@ -649,8 +645,8 @@ def run_compare(config: ExperimentConfig):
             "projective_conditional": row.projective_cond,
             "mc_weak_mean_over_eps": row.mc_mean,
             "mc_weak_stderr_over_eps": row.mc_stderr,
-            "mc_projective_mean": _finite_or_none(proj.mean),
-            "mc_projective_stderr": _finite_or_none(proj.std_error),
+            "mc_projective_mean": proj.mean,
+            "mc_projective_stderr": proj.std_error,
         },
     }
 
@@ -699,8 +695,7 @@ def render_json(config, rows, summary) -> str:
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": config.to_dict(),
-        "rows": [_clean({c: getattr(row, c) for c in CSV_COLUMNS})
-                 for row in rows],
+        "rows": [{c: getattr(row, c) for c in CSV_COLUMNS} for row in rows],
         "summary": summary,
     }
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
@@ -766,7 +761,7 @@ def _apply_overrides(data, args) -> dict:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        data = (preset(args.preset).to_dict() if args.preset
+        data = (_preset_data(args.preset) if args.preset
                 else _read_json(args.config))
         config = ExperimentConfig.from_dict(_apply_overrides(data, args))
         rows, summary = run_scenario(config)

@@ -123,11 +123,16 @@ class WeakSetup:
     meter: MeterSpec
 
     def __post_init__(self):
-        if not (self.A.dim == self.s.dim == self.f.dim):
-            raise DimensionMismatchError(
-                f"system dims disagree: A={self.A.dim}, s={self.s.dim}, "
-                f"f={self.f.dim}"
-            )
+        check_system(self.A, self.s, self.f)
+
+
+def check_system(a: Observable, s: StateVector, f: StateVector) -> None:
+    """Raise DimensionMismatchError unless A, s and f share one space."""
+    if not (a.dim == s.dim == f.dim):
+        raise DimensionMismatchError(
+            f"system dims disagree: A is {a.dim}x{a.dim}, s has {s.dim}, "
+            f"f has {f.dim}"
+        )
 
 
 @dataclass(frozen=True)
@@ -287,10 +292,7 @@ def richardson_limit(eps_values, samples) -> ExtrapolationResult:
 
 
 def _check_overlap(a: Observable, s: StateVector, f: StateVector) -> None:
-    if a.dim != s.dim or a.dim != f.dim:
-        raise DimensionMismatchError(
-            f"dims disagree: A={a.dim}, s={s.dim}, f={f.dim}"
-        )
+    check_system(a, s, f)
     if abs(np.vdot(f.amps, s.amps)) <= ORTHO_CUTOFF:
         raise UndefinedWeakValueError(
             "weak value undefined: <f, s> is numerically zero"
@@ -411,10 +413,7 @@ def projective_tables(a: Observable, s: StateVector,
     onto it and then passing the postselection. In A's eigenbasis both
     are group sums over the coordinates V^dagger s and V^dagger f.
     """
-    if a.dim != s.dim or a.dim != f.dim:
-        raise DimensionMismatchError(
-            f"dims disagree: A={a.dim}, s={s.dim}, f={f.dim}"
-        )
+    check_system(a, s, f)
     dec = eig_hermitian(a)
     vh = dec.eigenvectors.conj().T
     cs = vh @ s.amps

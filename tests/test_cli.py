@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,16 @@ import pytest
 from dataclasses import replace
 
 from weakmeas import cli
+from weakmeas.hilbert import DimensionMismatchError, Observable, StateVector
+from weakmeas.meters import qubit_meter
+from weakmeas.protocol import (
+    WeakSetup,
+    aav_complex_weak_value,
+    projective_tables,
+)
 from weakmeas.cli import (
     CSV_COLUMNS,
+    SCENARIOS,
     STATUS_OK,
     STATUS_UNDEFINED,
     ConfigError,
@@ -104,9 +113,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="dims"):
             generic_config(s_amps=((1.0, 0.0), (0.0, 0.0), (0.0, 0.0)))
 
+    def test_one_dimension_rule_and_message(self):
+        # the library raises DimensionMismatchError, the config its
+        # ConfigError, and every caller words it the same
+        a, s = Observable(np.eye(2)), StateVector([1, 0])
+        f3 = StateVector([1, 0, 0])
+        messages = set()
+        for build in (lambda: WeakSetup(a, s, f3, qubit_meter(0.0)),
+                      lambda: projective_tables(a, s, f3),
+                      lambda: aav_complex_weak_value(a, s, f3)):
+            with pytest.raises(DimensionMismatchError) as exc:
+                build()
+            messages.add(str(exc.value))
+        with pytest.raises(ConfigError) as exc:
+            generic_config(f_amps=((1.0, 0.0), (0.0, 0.0), (0.0, 0.0)))
+        messages.add(str(exc.value))
+        assert messages == {"system dims disagree: A is 2x2, s has 2, "
+                            "f has 3"}
+
     def test_empty_eps(self):
         with pytest.raises(ConfigError, match="eps"):
             generic_config(eps_values=())
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_schedule_must_descend_for_every_scenario(self, scenario):
+        for eps in ((1e-3, 1e-2), (1e-2, 1e-2), (1e-2, 5e-3, 6e-3)):
+            with pytest.raises(ConfigError, match="strictly descending"):
+                generic_config(scenario=scenario, eps_values=eps)
+        # one eps is a schedule: sample reads only the first
+        assert generic_config(scenario=scenario,
+                              eps_values=(1e-2,)).eps_values == (1e-2,)
 
     def test_eps_out_of_range(self):
         with pytest.raises(ConfigError, match="eps"):
@@ -219,6 +255,12 @@ class TestPresets:
     def test_convexity_contrast_scenario(self):
         assert preset("convexity-contrast").scenario == "compare"
 
+    def test_configs_match_golden(self):
+        # the config each preset expands to, as a JSON report embeds it
+        want = json.loads((GOLDEN / "presets.json").read_text())
+        assert {name: preset(name).to_dict() for name in want} == want
+        assert sorted(want) == sorted(cli._PRESETS)
+
 
 class TestWeakValueScenario:
     def test_canonical_row(self):
@@ -282,6 +324,16 @@ class TestSweepRhoScenario:
         assert closed[0] == pytest.approx(rows[0].wv_traditional)
         assert abs(summary["fitted_slope"]) <= 1e-10
 
+    def test_one_distinct_rho_fits_no_line(self):
+        cfg = generic_config(scenario="sweep-rho", rho_values=(5.0, 5.0, 5.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, summary = run_scenario(cfg)
+        assert [r.rho for r in rows] == [5.0] * 3
+        assert summary["expected_slope"] == 2.0 * rows[0].wv_aav_im
+        assert not {"fitted_slope", "fitted_intercept",
+                    "slope_residual"} & set(summary)
+
 
 class TestLimitCheckScenario:
     def test_rows_and_extrapolant(self):
@@ -312,6 +364,17 @@ class TestSampleScenario:
         second = run_scenario(cfg)
         assert first[0][0] == second[0][0]
         assert first[1] == second[1]
+
+    def test_no_accepted_trial_leaves_the_mean_empty(self):
+        # <f, s> = 0: the weak meter passes about one trial in 1e4
+        cfg = generic_config(scenario="sample",
+                             s_amps=((1.0, 0.0), (0.0, 0.0)),
+                             f_amps=((0.0, 0.0), (1.0, 0.0)),
+                             mc=MonteCarloConfig(n_trials=100, seed=11))
+        rows, summary = run_scenario(cfg)
+        assert rows[0].mc_n_success == 0
+        assert rows[0].mc_mean is None and rows[0].mc_stderr is None
+        assert summary["z_score"] is None
 
 
 class TestDisturbanceScenario:
@@ -520,6 +583,17 @@ class TestLargeEntryObservable:
 
 
 class TestRendering:
+    def test_rows_hold_finite_floats_or_none(self):
+        assert ResultRow("sample", mc_mean=float("nan")).mc_mean is None
+        row = ResultRow("compare", rho=math.inf, eps=np.float64(0.01),
+                        mc_stderr=-math.inf, disturbance=np.float64(0.5),
+                        mc_n_success=3)
+        assert row.rho is None and row.mc_stderr is None
+        assert type(row.eps) is float and type(row.disturbance) is float
+        assert row.mc_n_success == 3
+        assert render_csv([row]).splitlines()[1] \
+            == "compare,,0.01,,,,,,,,,3,0.5,ok"
+
     def test_csv_header_and_blank_cells(self):
         rows = [ResultRow(scenario="weak-value", rho=1.5, wv_closed=3.0)]
         text = render_csv(rows)
@@ -610,7 +684,8 @@ class TestMainEntry:
                                 output=OutputConfig(format="json"))
         # rerunning from the persisted config reproduces the rows
         cfg_path = tmp_path / "replay.json"
-        json.dump(report["config"], open(cfg_path, "w"))
+        with open(cfg_path, "w") as fh:
+            json.dump(report["config"], fh)
         assert main(["weak-value", "--config", str(cfg_path)]) == 0
         replay = json.loads(capsys.readouterr().out)
         assert replay["rows"][0]["wv_numeric"] \
@@ -650,11 +725,15 @@ class TestMainEntry:
         cases.append(["sweep-rho", "--config", str(cfg_path)])
         cases.append(["weak-value", "--config", str(tmp_path / "none.json")])
         cases.append(["limit-check", "--preset", "aav100", "--eps", "0.01"])
+        # sample runs at the first eps, so it must be the largest
+        ascending = ["sample", "--preset", "aav100", "--eps", "0.001,0.01"]
+        cases.append(ascending)
         cases.append(["weak-value", "--preset", "nope"])
         cases.append(["weak-value", "--preset", "aav100", "--rho", "inf"])
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         cases.append(["weak-value", "--config", str(bad)])
+        system = generic_config().to_dict()["system"]
         # wrong JSON types: sections that are not objects, a path that is
         # not a string (an int would reach open() as a file descriptor)
         wrong_types = [[1, 2], {"system": [1, 2]}, {"output": None},
@@ -665,9 +744,14 @@ class TestMainEntry:
                        # fractions where an int is due are not truncated
                        {"mc": {"n_trials": 2500.9}}, {"mc": {"seed": 1.5}},
                        {"schema_version": 1.7},
-                       {"meter": {"n_points": 256.5}}]
+                       {"meter": {"n_points": 256.5}},
+                       # an integer too large for a float is not finite
+                       {"meter": {"rho": 10 ** 400}},
+                       {"meter": {"half_width": 10 ** 400}},
+                       {"eps_schedule": [0.01, 10 ** 400]},
+                       {"rho_values": [0, -10 ** 400]},
+                       {"system": {**system, "s": [[1, 10 ** 400], 0]}}]
         # a key that names no field is refused at every level, by name
-        system = generic_config().to_dict()["system"]
         unknown = {"eps": {"eps": [0.01]},
                    "g": {"system": {**system, "g": [1, 0]}},
                    "npoints": {"meter": {"kind": "grid", "npoints": 256}},
@@ -700,6 +784,8 @@ class TestMainEntry:
         for i, key in enumerate(unknown, len(wrong_types) - len(unknown)):
             assert repr(key) in errors[str(tmp_path / f"wrong{i}.json")]
         assert errors[str(empty)] == "error: eps_schedule must not be empty\n"
+        assert errors[ascending[-1]] == ("error: eps schedule: eps values "
+                                         "must be strictly descending\n")
         # a whole float is an int: JSON 1e6 loads as 1000000.0
         path = tmp_path / "whole.json"
         path.write_text(json.dumps({**generic_config().to_dict(),
