@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -104,7 +104,7 @@ def _decode_pair(x) -> tuple:
     if _is_number(x):
         return (float(x), 0.0)
     if (isinstance(x, (list, tuple)) and len(x) == 2
-            and all(_is_number(p) for p in x)):
+            and _is_number(x[0]) and _is_number(x[1])):
         return (float(x[0]), float(x[1]))
     raise ConfigError(f"expected a number or [re, im] pair, got {x!r}")
 
@@ -190,10 +190,12 @@ class OutputConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        # an integer path would reach open() as a file descriptor
-        if self.path is not None and not isinstance(self.path, str):
-            raise ConfigError(f"output path must be a string or null, "
-                              f"got {self.path!r}")
+        # an integer path would reach open() as a file descriptor, and an
+        # empty one must not fall through to stdout
+        if self.path is not None and not (isinstance(self.path, str)
+                                          and self.path):
+            raise ConfigError(f"output path must be a nonempty string or "
+                              f"null, got {self.path!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, "
                               f"got {self.format!r}")
@@ -201,6 +203,13 @@ class OutputConfig:
 
 _SECTIONS = {"meter": MeterConfig, "mc": MonteCarloConfig,
              "output": OutputConfig}
+# each section's keys, in field order
+_KEYS = {cls: tuple(f.name for f in fields(cls)) for cls in _SECTIONS.values()}
+
+
+def _section_dict(section) -> dict:
+    # a section's fields are flat scalars, so asdict's deep copy is not due
+    return {key: getattr(section, key) for key in _KEYS[type(section)]}
 
 
 @dataclass(frozen=True)
@@ -291,11 +300,11 @@ class ExperimentConfig:
             "system": {"A": [[list(z) for z in row] for row in self.a_entries],
                        "s": [list(z) for z in self.s_amps],
                        "f": [list(z) for z in self.f_amps]},
-            "meter": asdict(self.meter),
+            "meter": _section_dict(self.meter),
             "eps_schedule": list(self.eps_values),
             "rho_values": list(self.rho_values),
-            "mc": asdict(self.mc),
-            "output": asdict(self.output),
+            "mc": _section_dict(self.mc),
+            "output": _section_dict(self.output),
         }
 
     @classmethod
@@ -316,8 +325,7 @@ class ExperimentConfig:
         # a section key must name a field; an absent one takes its default
         for key, section in _SECTIONS.items():
             if key in data:
-                kw[key] = section(**_only(data[key], [
-                    f.name for f in fields(section)], key))
+                kw[key] = section(**_only(data[key], _KEYS[section], key))
         return cls(**kw)
 
     @classmethod
@@ -692,13 +700,17 @@ def render_csv(rows) -> str:
 
 
 def render_json(config, rows, summary) -> str:
+    """The report as one line of compact, strict JSON plus a newline: the
+    schema version, the config that ran, the rows and the summary. A
+    non-finite float raises ValueError."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": config.to_dict(),
         "rows": [{c: getattr(row, c) for c in CSV_COLUMNS} for row in rows],
         "summary": summary,
     }
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    # no indent, so that json's C encoder writes it
+    return json.dumps(report, allow_nan=False, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +781,7 @@ def main(argv=None) -> int:
             text = render_json(config, rows, summary)
         else:
             text = render_csv(rows)
-        if config.output.path:
+        if config.output.path is not None:
             with open(config.output.path, "w", encoding="utf-8",
                       newline="") as fh:
                 fh.write(text)

@@ -13,6 +13,8 @@ conjugate transpose.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,8 @@ HERM_RTOL = 1e-10         # Hermiticity defect relative to max entry
 DEGEN_RTOL = 1e-9         # eigenvalue grouping, relative to spectral radius
 IMAG_TOL = 1e-10          # imaginary residue of an expectation, relative
 _ZERO_NORM = 1e-15        # below this a vector cannot be normalized
+# entries up to this size cannot overflow M + M†
+_HALF_MAX = sys.float_info.max / 2.0
 
 
 class DimensionMismatchError(ValueError):
@@ -43,7 +47,11 @@ class StateVector:
             raise ValueError("state vector needs at least one amplitude")
         if not np.isfinite(a).all():
             raise ValueError("state vector has non-finite amplitudes")
-        n = float(np.linalg.norm(a))
+        with np.errstate(over="ignore"):
+            n = float(np.linalg.norm(a))
+        if not math.isfinite(n):
+            raise ValueError("state vector norm overflows float64; "
+                             "scale the amplitudes down")
         if n < _ZERO_NORM:
             raise ValueError("cannot normalize a numerically zero vector")
         a = a / n
@@ -61,8 +69,9 @@ class StateVector:
 class Observable:
     """Hermitian operator on C^dim.
 
-    Construction rejects matrices whose Hermiticity defect exceeds
-    ``HERM_RTOL`` relative to the largest entry, then stores the
+    Construction rejects matrices whose entries overflow float64 in
+    |M|, M - M† or M + M†, then those whose Hermiticity defect exceeds
+    ``HERM_RTOL`` relative to the largest entry. It stores the
     symmetrization (M + M†)/2 so downstream eigen-solvers see an exactly
     Hermitian matrix. The spectral decomposition is computed once and
     cached.
@@ -76,14 +85,22 @@ class Observable:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("observable has non-finite entries")
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
-        defect = float(np.max(np.abs(m - m.conj().T)))
+        # finite entries near the float64 limit can still overflow |m|,
+        # M - M† or M + M†; such a matrix is refused before it is judged
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = float(np.max(np.abs(m))) if m.size else 0.0
+            defect = float(np.max(np.abs(m - m.conj().T)))
+            sym = (m + m.conj().T) / 2.0
+        if not (math.isfinite(scale) and math.isfinite(defect)
+                and (scale <= _HALF_MAX or np.isfinite(sym).all())):
+            raise ValueError("observable entries overflow float64 in |M|, "
+                             "M - M† or M + M†; scale the matrix down")
         if defect > HERM_RTOL * scale and defect > 0.0:
             raise HermiticityError(
                 f"matrix is not Hermitian: defect {defect:.3e} "
                 f"exceeds {HERM_RTOL:.0e} * {scale:.3e}"
             )
-        m = (m + m.conj().T) / 2.0
+        m = sym
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "dim", m.shape[0])
@@ -164,7 +181,7 @@ def evolve_coupling(a: Observable, g: Observable, eps: float,
     dg = eig_hermitian(g)
     # into the joint eigenbasis: rows via A's frame, columns via G's
     c = da.eigenvectors.conj().T @ r @ dg.eigenvectors.conj()
-    phases = np.exp(-1j * eps * np.outer(da.eigenvalues, dg.eigenvalues))
+    phases = np.exp(-1j * eps * (da.eigenvalues[:, None] * dg.eigenvalues))
     return da.eigenvectors @ (phases * c) @ dg.eigenvectors.T
 
 

@@ -67,19 +67,25 @@ class GridSpec:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
 
 
+# the qubit meter's m and G do not depend on rho: every qubit meter shares
+# these two, so G's cached eigendecomposition is computed once per process
+_QUBIT_M = StateVector([1.0, 0.0])
+_QUBIT_G = Observable([[0.0, 1.0], [1.0, 0.0]])
+
+
 def qubit_meter(rho: float) -> MeterSpec:
     """The two-dimensional meter family, parametrized by a real rho.
 
     m = e1, G swaps the basis states, and B is the off-diagonal Hermitian
     matrix with upper entry rho + i/2, so <m, Bm> = 0 and
     <m, BGm> = rho + i/2 exactly: calibrated for every rho, with the
-    weak-value-shifting real part dialed in directly.
+    weak-value-shifting real part dialed in directly. Every qubit meter
+    holds the same immutable m and G objects; B is built and the
+    calibration verified for each rho.
     """
     rho = float(rho)
-    m = StateVector([1.0, 0.0])
-    g = Observable([[0.0, 1.0], [1.0, 0.0]])
     b = Observable([[0.0, rho + 0.5j], [rho - 0.5j, 0.0]])
-    meter = MeterSpec(m=m, B=b, G=g)
+    meter = MeterSpec(m=_QUBIT_M, B=b, G=_QUBIT_G)
     verify_calibration(meter)
     return meter
 

@@ -97,7 +97,8 @@ class MeterSpec:
 
     def couple(self, a: Observable, s: StateVector, eps: float) -> np.ndarray:
         """exp(-i eps (A (x) G)) (s (x) m) as a (dim_S, dim_M) array."""
-        return evolve_coupling(a, self.G, eps, np.outer(s.amps, self.m.amps))
+        # np.outer's own product, without its wrapper
+        return evolve_coupling(a, self.G, eps, s.amps[:, None] * self.m.amps)
 
     def readout(self, r: np.ndarray):
         """The readout branches of a coupled state r.

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from weakmeas import cli
 from weakmeas.hilbert import DimensionMismatchError, Observable, StateVector
@@ -200,6 +200,14 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(data)
         data["system"]["s"] = [[1, 0], [True, 0]]
         with pytest.raises(ConfigError, match="number"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("pair", [[0, True], [1, "0"], [1, 0, 0],
+                                      [[1, 0], 0], [1, None], [], [1]])
+    def test_malformed_pair_rejected(self, pair):
+        data = preset("aav100").to_dict()
+        data["system"]["s"] = [[1, 0], pair]
+        with pytest.raises(ConfigError, match="number or \\[re, im\\] pair"):
             ExperimentConfig.from_dict(data)
 
     @pytest.mark.parametrize("build", [
@@ -611,12 +619,35 @@ class TestRendering:
         assert float(record["wv_numeric"]) == value
 
     def test_json_report_is_strict_and_reloadable(self):
-        cfg = generic_config()
+        cfg = generic_config(scenario="sweep-rho", rho_values=(-2.0, 5.0))
         rows, summary = run_scenario(cfg)
-        report = json.loads(render_json(cfg, rows, summary))
+        text = render_json(cfg, rows, summary)
+        # one compact line of JSON, closed by a newline
+        assert text.endswith("\n") and "\n" not in text[:-1]
+        report = json.loads(text)
+        assert list(report) == ["schema_version", "config", "rows",
+                                "summary"]
         assert report["schema_version"] == 1
+        assert report["config"] == cfg.to_dict()
         assert ExperimentConfig.from_dict(report["config"]) == cfg
-        assert report["rows"][0]["wv_closed"] == rows[0].wv_closed
+        assert report["rows"] == [{c: getattr(r, c) for c in CSV_COLUMNS}
+                                  for r in rows]
+        assert report["summary"] == summary
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_report_refuses_non_finite_summary(self, bad):
+        cfg = generic_config()
+        rows, _ = run_scenario(cfg)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            render_json(cfg, rows, {"nested": {"value": [1.0, bad]}})
+
+    def test_config_sections_serialize_as_asdict(self):
+        cfg = generic_config(output=OutputConfig(path="r.json",
+                                                 format="json"))
+        data = cfg.to_dict()
+        for key in ("meter", "mc", "output"):
+            section = getattr(cfg, key)
+            assert list(data[key].items()) == list(asdict(section).items())
 
 
 class TestMainEntry:
@@ -739,6 +770,8 @@ class TestMainEntry:
         wrong_types = [[1, 2], {"system": [1, 2]}, {"output": None},
                        {"meter": None}, {"mc": None}, {"mc": [1]},
                        {"output": {"path": 2}}, {"output": {"path": True}},
+                       # only null means stdout
+                       {"output": {"path": ""}},
                        {"output": {"format": 5}}, {"meter": {"kind": 5}},
                        {"eps_schedule": 0.01}, {"rho_values": None},
                        # fractions where an int is due are not truncated
@@ -751,6 +784,13 @@ class TestMainEntry:
                        {"eps_schedule": [0.01, 10 ** 400]},
                        {"rho_values": [0, -10 ** 400]},
                        {"system": {**system, "s": [[1, 10 ** 400], 0]}}]
+        # finite entries whose norm or symmetrization overflows float64
+        overflow = {"norm": {"system": {"A": SX, "f": [1, 0],
+                                        "s": [[1e308, 0], [1e308, 0]]}},
+                    "symmetrized": {"system": {
+                        "A": [[[1e308, 0], [0, 0]], [[0, 0], [-1e308, 0]]],
+                        "s": [1, 1], "f": [1, 0]}}}
+        wrong_types += overflow.values()
         # a key that names no field is refused at every level, by name
         unknown = {"eps": {"eps": [0.01]},
                    "g": {"system": {**system, "g": [1, 0]}},
@@ -775,12 +815,20 @@ class TestMainEntry:
         empty.write_text(json.dumps({**generic_config().to_dict(),
                                      "eps_schedule": []}))
         cases.append(["weak-value", "--config", str(empty)])
+        empty_out = ["weak-value", "--preset", "aav100", "--out", ""]
+        cases.append(empty_out)
         errors = {}
         for argv in cases:
             assert main(argv) == 2, argv
-            err = capsys.readouterr().err
-            assert err.startswith("error:")
-            errors[argv[-1]] = err
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("error:")
+            errors[argv[-1]] = captured.err
+        first = wrong_types.index(overflow["norm"])
+        for i in range(first, first + len(overflow)):
+            assert "overflow" in errors[str(tmp_path / f"wrong{i}.json")]
+        assert errors[""] == ("error: output path must be a nonempty string "
+                              "or null, got ''\n")
         for i, key in enumerate(unknown, len(wrong_types) - len(unknown)):
             assert repr(key) in errors[str(tmp_path / f"wrong{i}.json")]
         assert errors[str(empty)] == "error: eps_schedule must not be empty\n"

@@ -58,6 +58,19 @@ class TestStateVector:
         with pytest.raises(ValueError, match="non-finite"):
             StateVector([1.0, bad])
 
+    @pytest.mark.parametrize("amps", [[1e308, 1e308], [1e200, 0.0],
+                                      [1e308j, 1e308]])
+    def test_norm_overflow_rejected(self, amps):
+        # the norm overflows to inf, which would normalize to a zero
+        # vector; refused by name, without a RuntimeWarning
+        with pytest.raises(ValueError, match="overflow"):
+            StateVector(amps)
+
+    def test_large_finite_norm_keeps_its_bits(self):
+        amps = np.array([3e153, 4e153j])
+        np.testing.assert_array_equal(StateVector(amps).amps,
+                                      amps / np.linalg.norm(amps))
+
     def test_immutable(self):
         v = StateVector([1, 0])
         with pytest.raises(AttributeError):
@@ -163,6 +176,32 @@ class TestObservable:
         # so the finite check has to come first
         with pytest.raises(ValueError, match="non-finite"):
             Observable([[bad, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("m", [
+        [[1e308, 0.0], [0.0, -1e308]],            # M + M† overflows
+        [[0.0, 1e308], [1e308, 0.0]],
+        [[0.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.0]],  # |m|
+    ], ids=["diagonal", "off-diagonal", "modulus"])
+    def test_overflow_rejected(self, m):
+        # the symmetrization would hold inf and NaN, and every result
+        # read from it would be an empty cell
+        with pytest.raises(ValueError, match="overflow") as info:
+            Observable(m)
+        assert not isinstance(info.value, HermiticityError)
+
+    def test_overflow_judged_before_hermiticity(self):
+        # M - M† overflows for this anti-Hermitian pair
+        with pytest.raises(ValueError, match="overflow") as info:
+            Observable([[0.0, 1e308], [-1e308, 0.0]])
+        assert not isinstance(info.value, HermiticityError)
+
+    @pytest.mark.parametrize("m", [
+        [[8e307, 0.0], [0.0, -8e307]],
+        # |m| exceeds half the float range, M + M† does not overflow
+        [[0.0, 7e307 + 7e307j], [7e307 - 7e307j, 0.0]],
+    ], ids=["below-half-range", "large-modulus"])
+    def test_large_entries_keep_their_bits(self, m):
+        np.testing.assert_array_equal(Observable(m).entries, np.array(m))
 
 
 class TestSpectral:

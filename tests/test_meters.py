@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from weakmeas.hilbert import Observable, StateVector, evolve_coupling
+from weakmeas import meters
+from weakmeas.hilbert import (
+    Observable,
+    StateVector,
+    eig_hermitian,
+    evolve_coupling,
+)
 from weakmeas.meters import (
     DEFAULT_HALF_WIDTH,
     DEFAULT_N_POINTS,
@@ -55,6 +61,26 @@ class TestQubitMeter:
         rng = np.random.default_rng(201)
         for rho in rng.uniform(-100, 100, size=10):
             verify_calibration(qubit_meter(rho))
+
+    def test_m_and_g_are_shared(self):
+        first = qubit_meter(2.0)
+        dec = eig_hermitian(first.G)
+        second = qubit_meter(-7.5)
+        assert second.G is first.G and second.m is first.m
+        # the second meter's G decomposition is a cache hit
+        assert second.G._decomp is dec
+        assert eig_hermitian(second.G) is dec
+        assert second.B is not first.B
+        assert second.B.entries[0, 1] == -7.5 + 0.5j
+
+    def test_calibration_is_checked_for_every_rho(self, monkeypatch):
+        # a B built at twice its scale has gain 2; every rho must catch it
+        build = meters.Observable
+        monkeypatch.setattr(meters, "Observable",
+                            lambda e: build(2.0 * np.asarray(e)))
+        for rho in (2.0, -7.5, 2.0):
+            with pytest.raises(CalibrationError, match="gain"):
+                qubit_meter(rho)
 
 
 class TestGridSpec:
