@@ -11,6 +11,7 @@ across workers reproduces the serial run bit for bit.
 import numpy as np
 
 from weakmeas import (
+    EstimateWithError,
     Observable,
     StateVector,
     WeakSetup,
@@ -45,6 +46,9 @@ def main():
     merged = first.counts + second.counts
     print(f"\nsharded halves merge exactly: "
           f"{bool((merged == run.counts).all())}")
+    merged_est = EstimateWithError.from_counts(table.values, merged[:, 0],
+                                               n, seed)
+    print(f"merged estimate matches:      {merged_est == est}")
 
     proj = projective_A_oracle(a, s, f, n, seed)
     print(f"\nprojective conditional (sampled) = {proj.mean:+.6f} "

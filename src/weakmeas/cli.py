@@ -35,7 +35,7 @@ from .meters import (
     gaussian_grid_meter,
     qubit_meter,
 )
-from .oracle import monte_carlo_pair, monte_carlo_run
+from .oracle import EstimateWithError, monte_carlo_pair, monte_carlo_run
 from .protocol import (
     DEFAULT_EPS,
     EpsSchedule,
@@ -632,20 +632,17 @@ def run_compare(config: ExperimentConfig):
     )
     analytic = expectation(setup.A, setup.s)
     uncond = unconditional_limit(sweep)
-    counts = run.counts.sum(axis=1)
-    n = counts.sum()
-    b = run.table.values
-    mc_uncond_mean = float((b * counts).sum() / n)
-    var = float((b * b * counts).sum() / n - mc_uncond_mean ** 2)
-    mc_uncond_err = math.sqrt(max(var, 0.0) * n / max(n - 1, 1)) / math.sqrt(n)
+    # unconditional: every trial, passed or failed, reads the meter
+    mc_uncond = EstimateWithError.from_counts(
+        run.table.values, run.counts.sum(axis=1), est.n_trials, est.seed)
     proj = proj_run.estimate
     return [row], {
         "unconditional": {
             "meter_limit": uncond,
             "analytic_average": analytic,
             "abs_difference": abs(uncond - analytic),
-            "mc_mean_over_eps": mc_uncond_mean / eps,
-            "mc_stderr_over_eps": mc_uncond_err / eps,
+            "mc_mean_over_eps": mc_uncond.mean / eps,
+            "mc_stderr_over_eps": mc_uncond.std_error / eps,
         },
         "conditional": {
             "weak_value_numeric": row.wv_numeric,
@@ -757,8 +754,8 @@ def _apply_overrides(data, args) -> dict:
     data = {**_object(data, "config root"), "scenario": args.scenario}
     if args.eps is not None:
         try:
-            data["eps_schedule"] = [float(tok) for tok in args.eps.split(",")
-                                    if tok]
+            data["eps_schedule"] = ([float(tok) for tok in args.eps.split(",")]
+                                    if args.eps else [])
         except ValueError:
             raise ConfigError(f"--eps expects comma-separated numbers, "
                               f"got {args.eps!r}") from None

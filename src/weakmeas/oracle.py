@@ -11,13 +11,14 @@ Reproducibility contract: trials are numbered, and trial i draws its
 uniforms from the i-th counter block of a Philox stream keyed by the
 seed (one block is four doubles; a trial consumes the first two). A run
 sharded as [0, k) + [k, n) therefore reproduces the serial run [0, n)
-bit for bit, for any split points. Trials are drawn CHUNK_TRIALS at a
-time from that stream, so memory is O(CHUNK_TRIALS) for any trial count,
-and a run of at most 2^18 trials keeps the estimate bits of one array.
-One pass may sample several tables: each reads the same uniforms, so
-each run equals its one-table run on the same seed and offset bit for
-bit, and runs of one pass use common random numbers and are correlated
-(``monte_carlo_pair``, which ``compare`` uses, is such a pass).
+bit for bit, for any split points: the shards' counts add up to the
+serial counts, and an estimate is a function of those counts alone.
+Trials are drawn CHUNK_TRIALS at a time, so memory is O(CHUNK_TRIALS)
+for any trial count. One pass may sample several tables: each reads
+the same uniforms, so each run equals its one-table run on the same
+seed and offset bit for bit, and runs of one pass use common random
+numbers and are correlated (``monte_carlo_pair``, which ``compare``
+uses, is such a pass).
 
 A trial's branch is the number of cumulative marginals at or below its
 scaled uniform, found by a scan, a guide table or a binary search. Up to
@@ -48,7 +49,7 @@ SCAN_MAX_BRANCHES = 12        # larger tables pick branches by guide table
 
 @dataclass(frozen=True)
 class EstimateWithError:
-    """Monte Carlo estimate with its standard error.
+    """Monte Carlo estimate and standard error, from a run's counts alone.
 
     ``mean`` is NaN when no trial survived postselection and
     ``std_error`` is NaN when fewer than two did; both sentinels keep
@@ -65,14 +66,28 @@ class EstimateWithError:
     def is_empty(self) -> bool:
         return self.n_success == 0
 
+    @classmethod
+    def from_counts(cls, values: np.ndarray, successes: np.ndarray,
+                    n_trials: int, seed: int) -> EstimateWithError:
+        """The estimate of a run in which successes[i] trials read
+        values[i]: with c = successes and v = values, n = sum c, mean =
+        sum v c / n, M2 = sum c (v - mean)^2 and std_error =
+        sqrt(M2 / (n - 1)) / sqrt(n). Shards whose counts add up to a run's
+        therefore give its estimate bit for bit."""
+        n = int(successes.sum())
+        mean = float((values * successes).sum() / n) if n else math.nan
+        m2 = float((successes * (values - mean) ** 2).sum())
+        err = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
+        return cls(mean, err, n, n_trials, seed)
+
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloRun:
     """Aggregated counts of a sampling run of ``table``.
 
     ``counts[i]`` is (successes, failures) for the i-th eigenspace of the
-    table. Runs over disjoint trial ranges with the same seed can be
-    merged by adding counts.
+    table. Runs over disjoint trial ranges with the same seed merge by
+    adding counts, whose successes give the serial ``estimate`` exactly.
     """
 
     table: OutcomeTable
@@ -121,8 +136,7 @@ def _philox_generator(seed: int, trial_offset: int) -> np.random.Generator:
 
 
 class _Tally:
-    """One table's share of a sampling pass: per-branch counts and the
-    running mean and M2 of the accepted eigenvalues."""
+    """One table's share of a sampling pass: its per-branch counts."""
 
     def __init__(self, table: OutcomeTable):
         values, marginal, joint = table
@@ -132,7 +146,6 @@ class _Tally:
         self.cond = np.where(marginal > 0,
                              joint / np.maximum(marginal, 1e-300), 0.0)
         self.counts = np.zeros(2 * len(values), dtype=np.intp)
-        self.n, self.mean, self.m2 = 0, math.nan, 0.0
 
     def add(self, u: np.ndarray) -> None:
         """Tally one chunk of trials, a row of uniforms per trial."""
@@ -140,24 +153,11 @@ class _Tally:
         ok = u[:, 1] < self.cond[gi]
         # cell 2 * gi holds the successes of branch gi, the next its failures
         self.counts += np.bincount(2 * gi + ~ok, minlength=self.counts.size)
-        hits = self.table.values[gi[ok]]
-        k = hits.size
-        if k:
-            # hits.mean() and hits.var(ddof=1) per chunk; Chan et al. merge
-            n, mean = self.n, self.mean
-            mean_k = float(hits.sum() / k)
-            m2_k = float(((hits - mean_k) ** 2).sum())
-            if n:
-                m2_k += (mean_k - mean) ** 2 * n * k / (n + k)
-                mean_k = mean + (mean_k - mean) * k / (n + k)
-            self.n, self.mean, self.m2 = n + k, mean_k, self.m2 + m2_k
 
     def run(self, n_trials: int, seed: int) -> MonteCarloRun:
-        n = self.n
-        err = math.sqrt(self.m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
-        return MonteCarloRun(self.table, self.counts.reshape(-1, 2),
-                             EstimateWithError(self.mean, err, n, n_trials,
-                                               seed))
+        counts = self.counts.reshape(-1, 2)
+        return MonteCarloRun(self.table, counts, EstimateWithError.from_counts(
+            self.table.values, counts[:, 0], n_trials, seed))
 
 
 class _Guide(NamedTuple):

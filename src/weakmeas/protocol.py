@@ -59,6 +59,12 @@ class EmptyPostselectionError(ValueError):
     """Postselection succeeds with numerically zero probability."""
 
 
+def _check_postselection(prob: float, what: str) -> None:
+    """The one emptiness rule: a probability below EMPTY_PROB is empty."""
+    if prob < EMPTY_PROB:
+        raise EmptyPostselectionError(f"{what} {prob:.3e} is numerically zero")
+
+
 @dataclass(frozen=True, eq=False)
 class MeterSpec:
     """A meter: its initial state m, readout observable B, and coupling
@@ -217,10 +223,7 @@ class OutcomeTable(NamedTuple):
         """Mean eigenvalue given success; raises EmptyPostselectionError
         when the postselection passes with numerically zero probability."""
         total = self.total_success_prob
-        if total <= EMPTY_PROB:
-            raise EmptyPostselectionError(
-                f"total success probability {total:.3e} is numerically zero"
-            )
+        _check_postselection(total, "total success probability")
         return float((self.values * self.joint).sum()) / total
 
 
@@ -326,10 +329,7 @@ class EpsSweep:
         _check_overlap(self.setup.A, self.setup.s, self.setup.f)
         out = []
         for num, den in zip(self.moments, self.probabilities):
-            if den < EMPTY_PROB:
-                raise EmptyPostselectionError(
-                    f"postselection probability {den:.3e} is numerically zero"
-                )
+            _check_postselection(den, "postselection probability")
             out.append(real_part(num, "conditional reading") / den)
         return out
 

@@ -170,8 +170,8 @@ def sample_run(setup, eps: float, rng: np.random.Generator) -> Outcome:
 def sample_table(table, n_trials, seed, trial_offset=0):
     """Draw every trial of a run from one (n_trials, 4) block of uniforms
     and estimate with hits.mean() and hits.std(ddof=1) over the whole run:
-    the chunked sampler must give the same counts, and the same estimate
-    bits while a run fits in one chunk."""
+    the chunked sampler must give the same counts, and an estimate within
+    1e-12 relative of this one."""
     values, marginal, joint = table
     rng = _philox_generator(seed, trial_offset)
     u = rng.random((n_trials, 4))

@@ -759,6 +759,10 @@ class TestMainEntry:
         # sample runs at the first eps, so it must be the largest
         ascending = ["sample", "--preset", "aav100", "--eps", "0.001,0.01"]
         cases.append(ascending)
+        # an empty token is not skipped, wherever it stands
+        malformed = ["0.1,,0.05", ",0.1,0.05,"]
+        for eps in malformed:
+            cases.append(["weak-value", "--preset", "aav100", "--eps", eps])
         cases.append(["weak-value", "--preset", "nope"])
         cases.append(["weak-value", "--preset", "aav100", "--rho", "inf"])
         bad = tmp_path / "bad.json"
@@ -834,6 +838,14 @@ class TestMainEntry:
         assert errors[str(empty)] == "error: eps_schedule must not be empty\n"
         assert errors[ascending[-1]] == ("error: eps schedule: eps values "
                                          "must be strictly descending\n")
+        for eps in malformed:
+            assert errors[eps] == (f"error: --eps expects comma-separated "
+                                   f"numbers, got {eps!r}\n")
+        # an empty --eps is an empty schedule, not a malformed list
+        assert main(["weak-value", "--preset", "aav100", "--eps", ""]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: eps_schedule must not be empty\n")
         # a whole float is an int: JSON 1e6 loads as 1000000.0
         path = tmp_path / "whole.json"
         path.write_text(json.dumps({**generic_config().to_dict(),

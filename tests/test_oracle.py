@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakmeas.hilbert import Observable, StateVector, eig_hermitian
 from weakmeas.meters import GridSpec, gaussian_grid_meter, qubit_meter
@@ -389,16 +391,17 @@ def edges_and_total(marginal):
 
 
 def assert_same_run(got, want, n):
+    """The chunked run has the reference's counts, the count estimator's
+    bits on those counts, and the whole-array estimate to 1e-12."""
     assert got.counts.dtype == want.counts.dtype
     np.testing.assert_array_equal(got.counts, want.counts)
+    from_counts = EstimateWithError.from_counts(
+        want.table.values, want.counts[:, 0], n, want.estimate.seed)
     got, want = got.estimate, want.estimate
+    assert got == from_counts
     assert got.n_success == want.n_success
-    if n <= CHUNK_TRIALS:
-        assert got == want
-    else:
-        assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0)
-        assert got.std_error == pytest.approx(want.std_error, rel=1e-12,
-                                              abs=0)
+    assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0)
+    assert got.std_error == pytest.approx(want.std_error, rel=1e-12, abs=0)
 
 
 class TestChunkedSampler:
@@ -485,6 +488,52 @@ class TestChunkedSampler:
             merged += monte_carlo_run(setup, eps, hi - lo, seed,
                                       trial_offset=lo).counts
         np.testing.assert_array_equal(merged, full.counts)
+        assert EstimateWithError.from_counts(
+            full.table.values, merged[:, 0], n, seed) == full.estimate
+
+
+@st.composite
+def sharded_counts(draw):
+    """Distinct branch values, small per-branch success counts, and the
+    counts split into one to four shards at random."""
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8,
+                           unique=True))
+    counts = draw(st.lists(st.integers(0, 20), min_size=len(values),
+                           max_size=len(values)))
+    n_shards = draw(st.integers(1, 4))
+    shards = np.zeros((n_shards, len(values)), dtype=np.intp)
+    for i, c in enumerate(counts):
+        cuts = draw(st.lists(st.integers(0, c), min_size=n_shards - 1,
+                             max_size=n_shards - 1))
+        shards[:, i] = np.diff([0, *sorted(cuts), c])
+    return np.array(values), np.array(counts, dtype=np.intp), shards
+
+
+class TestEstimateFromCounts:
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(sharded_counts())
+    def test_shards_and_whole_array(self, drawn):
+        values, counts, shards = drawn
+        serial = EstimateWithError.from_counts(values, counts, 99, 5)
+        merged = EstimateWithError.from_counts(values, shards.sum(axis=0),
+                                               99, 5)
+        assert merged == serial
+        assert type(serial.n_success) is int
+        hits = np.repeat(values, counts)
+        n = hits.size
+        assert serial.n_success == n
+        # 1e-12 relative, or of the values' scale where the mean or the
+        # spread cancels (a lone branch repeated has a spread of zero)
+        close = dict(rel=1e-12, abs=1e-12 * np.abs(values).max())
+        if n == 0:
+            assert math.isnan(serial.mean)
+        else:
+            assert serial.mean == pytest.approx(hits.mean(), **close)
+        if n < 2:
+            assert math.isnan(serial.std_error)
+        else:
+            want = hits.std(ddof=1) / math.sqrt(n)
+            assert serial.std_error == pytest.approx(want, **close)
 
 
 MIB = 2 ** 20

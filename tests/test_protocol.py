@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,14 @@ from weakmeas.hilbert import (
 from weakmeas.meters import GridSpec, gaussian_grid_meter, qubit_meter
 from weakmeas.protocol import (
     DEFAULT_EPS,
+    EMPTY_PROB,
     CalibrationError,
     EmptyPostselectionError,
     EpsSchedule,
     EpsSweep,
     ExtrapolationResult,
     MeterSpec,
+    OutcomeTable,
     UndefinedWeakValueError,
     WeakSetup,
     aav_complex_weak_value,
@@ -288,6 +292,25 @@ class TestConditionalExpectation:
         record = sweep(setup, 1e-3, 5e-4)
         with pytest.raises(EmptyPostselectionError):
             record.conditional_expectations()
+
+    def test_one_emptiness_rule_for_tables_and_sweeps(self):
+        # a probability of exactly EMPTY_PROB is not empty, one ulp below
+        # it is, for the outcome table and the eps sweep alike
+        record = sweep(canonical_setup(50.0), 1e-3, 5e-4)
+        for prob, empty in ((EMPTY_PROB, False),
+                            (np.nextafter(EMPTY_PROB, 0), True)):
+            table = OutcomeTable(np.array([1.0]), np.array([1.0]),
+                                 np.array([prob]))
+            floor = replace(record, moments=(prob, prob),
+                            probabilities=(prob, prob))
+            if empty:
+                with pytest.raises(EmptyPostselectionError):
+                    table.conditional_mean
+                with pytest.raises(EmptyPostselectionError):
+                    floor.conditional_expectations()
+            else:
+                assert table.conditional_mean == 1.0
+                assert floor.conditional_expectations() == [1.0, 1.0]
 
     def test_postselection_probability_limit_canonical(self):
         # stays within O(eps) of |<f,s>|^2; for this setup it is constant
