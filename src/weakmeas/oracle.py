@@ -13,23 +13,23 @@ seed (one block is four doubles; a trial consumes the first two). A run
 sharded as [0, k) + [k, n) therefore reproduces the serial run [0, n)
 bit for bit, for any split points: the shards' counts add up to the
 serial counts, and an estimate is a function of those counts alone.
-Trials are drawn CHUNK_TRIALS at a time, so memory is O(CHUNK_TRIALS)
-for any trial count. One pass may sample several tables: each reads
-the same uniforms, so each run equals its one-table run on the same
-seed and offset bit for bit, and runs of one pass use common random
-numbers and are correlated (``monte_carlo_pair``, which ``compare``
-uses, is such a pass).
+Trials are drawn CHUNK_TRIALS at a time, a block that fits a typical L2
+cache, so memory is O(CHUNK_TRIALS) for any trial count. One pass may
+sample several tables: each reads the same uniforms, so each run equals
+its one-table run on the same seed and offset bit for bit, and runs of
+one pass use common random numbers and are correlated
+(``monte_carlo_pair``, which ``compare`` uses, is such a pass).
 
 A trial's branch is the number of cumulative marginals at or below its
-scaled uniform, found by a scan, a guide table or a binary search. Up to
-SCAN_MAX_BRANCHES branches one comparison pass per edge is fastest.
-Larger tables start each uniform at a guide table's entry for its cell
-of [0, total) (Chen & Asau's indexed search; Devroye, *Non-Uniform
-Random Variate Generation*, 1986, §III.2.4). A check against the
-start's own branch bounds marks the few starts that are wrong, and
-those are found again by binary search. Every way returns the branch
-``searchsorted(edges, x, "right")`` does, so the table size never
-changes a run.
+scaled uniform. Up to SCAN_MAX_BRANCHES branches no trial's branch is
+stored: the masks "at or above edge j" nest, so each branch's successes
+and failures are differences of mask counts. Larger tables start each
+uniform at a guide table's entry for its cell of [0, total) (Chen &
+Asau's indexed search; Devroye, *Non-Uniform Random Variate Generation*,
+1986, §III.2.4). A check against the start's own branch bounds marks the
+few starts that are wrong, and those are found again by binary search.
+Both ways give the counts ``searchsorted(edges, x, "right")`` does, so
+the table size never changes a run.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 from .hilbert import Observable, StateVector
 from .protocol import OutcomeTable, WeakSetup, coupled_state, projective_tables
 
-CHUNK_TRIALS = 2 ** 18        # trials per pass: 8 MiB of uniforms
+CHUNK_TRIALS = 2 ** 14        # trials per pass: 512 KiB of uniforms
 SCAN_MAX_BRANCHES = 12        # larger tables pick branches by guide table
 
 
@@ -147,12 +147,28 @@ class _Tally:
                              joint / np.maximum(marginal, 1e-300), 0.0)
         self.counts = np.zeros(2 * len(values), dtype=np.intp)
 
-    def add(self, u: np.ndarray) -> None:
-        """Tally one chunk of trials, a row of uniforms per trial."""
-        gi = _pick_branch(self.edges, u[:, 0] * self.total, self.guide)
-        ok = u[:, 1] < self.cond[gi]
-        # cell 2 * gi holds the successes of branch gi, the next its failures
-        self.counts += np.bincount(2 * gi + ~ok, minlength=self.counts.size)
+    def add(self, u0: np.ndarray, u1: np.ndarray) -> None:
+        """Tally a chunk: branch uniforms u0, acceptance uniforms u1."""
+        x = u0 * self.total
+        if self.guide is None:
+            # masks x >= edge nest: branch j is the trials at or above its
+            # lower edge (all for j = 0) less those at or above its upper one
+            lower, n_lower = None, x.size
+            for j, cond in enumerate(self.cond):
+                ok = u1 < cond
+                hits = np.count_nonzero(ok if lower is None else lower & ok)
+                upper, n_upper = None, 0
+                if j < self.edges.size:
+                    upper = x >= self.edges[j]
+                    n_upper = np.count_nonzero(upper)
+                    hits -= np.count_nonzero(upper & ok)
+                self.counts[2 * j:2 * j + 2] += hits, n_lower - n_upper - hits
+                lower, n_lower = upper, n_upper
+        else:
+            gi = _pick_branch(self.edges, x, self.guide)
+            # cell 2 * gi holds branch gi's successes, the next its failures
+            cell = 2 * gi + (u1 >= self.cond[gi])
+            self.counts += np.bincount(cell, minlength=self.counts.size)
 
     def run(self, n_trials: int, seed: int) -> MonteCarloRun:
         counts = self.counts.reshape(-1, 2)
@@ -184,24 +200,17 @@ def _guide_table(edges: np.ndarray, total: float) -> _Guide | None:
 
 
 def _pick_branch(edges: np.ndarray, x: np.ndarray,
-                 guide: _Guide | None) -> np.ndarray:
+                 guide: _Guide) -> np.ndarray:
     """The branch each x in [0, total] falls in: the number of edges (the
     cumulative marginals but the last) at or below it, which is what
     searchsorted(edges, x, "right") gives.
 
-    Without a guide (up to SCAN_MAX_BRANCHES branches) one comparison
-    pass per edge beats the binary search. With one, each x starts at
-    its cell's entry, and the start is kept where lo <= x < hi holds for
-    its branch; only one branch passes, even across repeated edges of
-    zero-mass branches. The rest (about 2% on the n = 1024 grid) are found
-    by searchsorted. There is no correction loop, so the work is bounded
-    whatever the rounding of x * scale.
+    Each x starts at its cell's entry, and the start is kept where
+    lo <= x < hi holds for its branch; only one branch passes, even across
+    repeated edges of zero-mass branches. The rest (about 2% on the
+    n = 1024 grid) are found by searchsorted. There is no correction loop,
+    so the work is bounded whatever the rounding of x * scale.
     """
-    if guide is None:
-        gi = np.zeros(x.size, dtype=np.intp)
-        for edge in edges:
-            gi += x >= edge
-        return gi
     gi = guide.start[(x * guide.scale).astype(np.intp)]
     miss = np.flatnonzero((x < guide.lo[gi]) | (x >= guide.hi[gi]))
     gi[miss] = np.searchsorted(edges, x[miss], side="right")
@@ -213,8 +222,8 @@ def _sample(tables: list[OutcomeTable], n_trials: int, seed: int,
     """Draw numbered trials from each table, CHUNK_TRIALS at a time: each
     trial picks an eigenspace with its Born probability, then passes the
     postselection with the conditional probability joint / marginal.
-    Every table reads the same uniforms, so each run equals its one-table
-    run bit for bit."""
+    Every table reads the same uniforms, the acceptance column from one
+    contiguous copy, so each run equals its one-table run bit for bit."""
     if n_trials < 1:
         raise ValueError("need at least one trial")
     rng = _philox_generator(seed, trial_offset)
@@ -222,8 +231,9 @@ def _sample(tables: list[OutcomeTable], n_trials: int, seed: int,
     buf = np.empty((min(CHUNK_TRIALS, n_trials), 4))
     for start in range(0, n_trials, CHUNK_TRIALS):
         u = rng.random(out=buf[:min(CHUNK_TRIALS, n_trials - start)])
+        u1 = u[:, 1].copy()
         for tally in tallies:
-            tally.add(u)
+            tally.add(u[:, 0], u1)
     return [tally.run(n_trials, seed) for tally in tallies]
 
 

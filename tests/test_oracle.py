@@ -25,6 +25,7 @@ from weakmeas.oracle import (
     _philox_generator,
     _pick_branch,
     _sample,
+    _Tally,
 )
 from weakmeas.protocol import (
     EmptyPostselectionError,
@@ -331,16 +332,23 @@ class TestProjectiveOracle:
         assert full.n_success == sum(p.n_success for p in parts)
 
 
+# the chunk-edge tests' seed: the first trial after the chunk edges at
+# CHUNK_TRIALS and RUN_TRIALS passes the postselection in the qubit and
+# projective tables (test_seed_merges_one_hit_chunks)
+SEED = 2735
+RUN_TRIALS = 2 ** 18          # a multiple of CHUNK_TRIALS
+
+
 def tie_table(n_edges):
     """A table whose cumulative marginals are the first trials' own
-    u[:, 0] draws at seed 2722, so those trials land exactly on an edge.
+    u[:, 0] draws at SEED, so those trials land exactly on an edge.
 
     The draws are multiples of 2^-53 below 1, so every difference and
     partial sum is exact and the cumsum gives the edges back. Every third
     edge is repeated and the last is 1 twice: those branches have zero
     marginal, one of them last.
     """
-    u0 = _philox_generator(2722, 0).random((n_edges, 4))[:, 0]
+    u0 = _philox_generator(SEED, 0).random((n_edges, 4))[:, 0]
     edges = np.sort(np.concatenate([u0, u0[::3], [1.0, 1.0]]))
     marginal = np.diff(edges, prepend=0.0)
     assert np.array_equal(np.cumsum(marginal), edges)
@@ -406,9 +414,17 @@ def assert_same_run(got, want, n):
 
 class TestChunkedSampler:
     """The chunked sampler against the single-array reference on both
-    sides of each chunk edge. Seed 2722 makes trial CHUNK_TRIALS pass
-    the postselection in the qubit and projective tables, so a one-hit
-    chunk is merged."""
+    sides of chunk edges: the first, and the last of a run of RUN_TRIALS.
+    SEED makes the first trial after each of those edges pass the
+    postselection in the qubit and projective tables, so a one-hit chunk
+    is merged."""
+
+    @pytest.mark.parametrize("kind", ["qubit", "projective"])
+    def test_seed_merges_one_hit_chunks(self, kind):
+        assert RUN_TRIALS % CHUNK_TRIALS == 0
+        for first in (CHUNK_TRIALS, RUN_TRIALS):
+            run, = _sample([chunk_test_table(kind)], 1, SEED, first)
+            assert run.estimate.n_success == 1
 
     def test_kinds_straddle_the_scan_limit(self):
         sizes = [len(chunk_test_table(kind).values) for kind in KINDS]
@@ -425,12 +441,13 @@ class TestChunkedSampler:
             assert table.marginal[-1] == 0
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("n", [CHUNK_TRIALS - 1, CHUNK_TRIALS,
-                                   CHUNK_TRIALS + 1, 2 * CHUNK_TRIALS + 7])
+    @pytest.mark.parametrize("n", [CHUNK_TRIALS + 1, RUN_TRIALS - 1,
+                                   RUN_TRIALS, RUN_TRIALS + 1,
+                                   2 * RUN_TRIALS + 7])
     def test_matches_single_array_reference(self, kind, n):
         table = chunk_test_table(kind)
-        got, = _sample([table], n, 2722, 0)
-        assert_same_run(got, reference.sample_table(table, n, 2722), n)
+        got, = _sample([table], n, SEED, 0)
+        assert_same_run(got, reference.sample_table(table, n, SEED), n)
 
     @pytest.mark.parametrize("kind", PICK_KINDS)
     def test_pick_matches_searchsorted(self, kind):
@@ -444,26 +461,25 @@ class TestChunkedSampler:
                             edges, np.nextafter(edges, 0)])
         want = np.searchsorted(edges, x, side="right")
         np.testing.assert_array_equal(_pick_branch(edges, x, guide), want)
-        np.testing.assert_array_equal(_pick_branch(edges, x, None), want)
         # a wrong start, below or above the branch, costs time, never
         # the result
         for wrong in (0, edges.size):
             lost = guide._replace(start=np.full_like(guide.start, wrong))
             np.testing.assert_array_equal(_pick_branch(edges, x, lost), want)
 
-    @pytest.mark.parametrize("n, offset", [(CHUNK_TRIALS, 0),
-                                           (CHUNK_TRIALS + 1, 0),
+    @pytest.mark.parametrize("n, offset", [(RUN_TRIALS, 0),
+                                           (RUN_TRIALS + 1, 0),
                                            (1000, 12_345)])
     def test_shared_pass_matches_one_table_runs(self, n, offset):
         tables = [chunk_test_table(kind) for kind in KINDS]
-        shared = _sample(tables, n, 2722, offset)
+        shared = _sample(tables, n, SEED, offset)
         assert len(shared) == len(tables)
         for table, got in zip(tables, shared):
             assert got.table is table
-            alone, = _sample([table], n, 2722, offset)
+            alone, = _sample([table], n, SEED, offset)
             np.testing.assert_array_equal(got.counts, alone.counts)
             assert got.estimate == alone.estimate
-            assert_same_run(got, reference.sample_table(table, n, 2722,
+            assert_same_run(got, reference.sample_table(table, n, SEED,
                                                         offset), n)
 
     def test_pair_matches_public_one_table_runs(self):
@@ -490,6 +506,64 @@ class TestChunkedSampler:
         np.testing.assert_array_equal(merged, full.counts)
         assert EstimateWithError.from_counts(
             full.table.values, merged[:, 0], n, seed) == full.estimate
+
+
+@st.composite
+def scanned_tables(draw):
+    """A table of 1 to SCAN_MAX_BRANCHES branches, so it is scanned. Some
+    marginals are zero, at any place, so edges repeat; one marginal at
+    least is not. Acceptance probabilities include exactly 0 and 1."""
+    k = draw(st.integers(1, SCAN_MAX_BRANCHES))
+    marginal = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k,
+                                      max_size=k)))
+    zero_at = draw(st.sets(st.integers(0, k - 1), max_size=k - 1))
+    marginal[list(zero_at)] = 0.0
+    cond = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                         min_size=k, max_size=k))
+    return OutcomeTable(np.arange(k, dtype=float), marginal,
+                        marginal * np.array(cond))
+
+
+class TestMaskTally:
+    """Scanned tables count branches from nested masks x >= edge; the
+    counts must be searchsorted's, trial by trial."""
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(scanned_tables(), scanned_tables(),
+           st.builds(lambda m, d: max(m * CHUNK_TRIALS + d, 1),
+                     st.integers(0, 2), st.integers(-3, 3)),
+           st.integers(0, 10 ** 6), st.integers(0, 2 ** 20))
+    def test_matches_reference_and_shared_pass(self, table, other, n, seed,
+                                               offset):
+        for t in (table, other):
+            assert _guide_table(*edges_and_total(t.marginal)) is None
+        alone = [_sample([t], n, seed, offset)[0] for t in (table, other)]
+        np.testing.assert_array_equal(
+            alone[0].counts,
+            reference.sample_table(table, n, seed, offset).counts)
+        shared = _sample([table, other], n, seed, offset)
+        for got, want in zip(shared, alone):
+            np.testing.assert_array_equal(got.counts, want.counts)
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(scanned_tables())
+    def test_x_on_edges_and_at_total(self, table):
+        # x on every edge and just below it, 0, and x = total itself,
+        # which falls in the last branch; every other trial's acceptance
+        # uniform equals its branch's acceptance probability, and fails
+        edges, total = edges_and_total(table.marginal)
+        u0 = np.concatenate([[0.0, 1.0], edges / total,
+                             np.nextafter(edges / total, 0)])
+        tally = _Tally(table)
+        gi = np.searchsorted(edges, u0 * total, side="right")
+        u1 = _philox_generator(3, 0).random(u0.size)
+        u1[::2] = tally.cond[gi[::2]]
+        tally.add(u0, u1)
+        ok = u1 < tally.cond[gi]
+        want = np.bincount(2 * gi + ~ok, minlength=2 * len(table.values))
+        np.testing.assert_array_equal(tally.counts, want)
 
 
 @st.composite
@@ -553,14 +627,14 @@ class TestBoundedMemory:
     """A single (n_trials, 4) block of uniforms would be 92 MiB at 3e6
     trials; the chunked sampler holds O(CHUNK_TRIALS) whatever n_trials."""
 
-    def test_peak_below_32_mib_at_3e6_trials(self):
+    def test_peak_below_2_mib_at_3e6_trials(self):
         setup = canonical_setup(50.0)
         assert traced_peak(monte_carlo_run, setup, 1e-2, 3_000_000, 1) \
-            < 32 * MIB
+            < 2 * MIB
         assert traced_peak(projective_A_oracle, Observable(SX), CIRC, E1,
-                           3_000_000, 1) < 32 * MIB
+                           3_000_000, 1) < 2 * MIB
         assert traced_peak(monte_carlo_pair, setup, 1e-2, 3_000_000, 1) \
-            < 32 * MIB
+            < 2 * MIB
 
     def test_peak_does_not_grow_with_trial_count(self):
         setup = canonical_setup(50.0)
