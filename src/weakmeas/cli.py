@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,13 +42,13 @@ from .protocol import (
     EpsSweep,
     UndefinedWeakValueError,
     WeakSetup,
+    _closed_form,
     check_system,
     coupling_moment,
     disturbance,
     eps_sweep,
     projective_conditional_or_none,
     unconditional_limit,
-    weak_value_closed_form,
     weak_value_report,
 )
 
@@ -574,8 +574,9 @@ def run_disturbance(config: ExperimentConfig):
 
 def run_aav_grid(config: ExperimentConfig):
     """Weak-value row measured with the Fourier-grid Gaussian meter, with
-    the meter's calibration and its agreement with the qubit meter. The
-    grid meter is used whatever the config's meter kind."""
+    the meter's calibration and its agreement with the qubit meter, whose
+    closed form is read off the row's complex weak value. The grid meter
+    is used whatever the config's meter kind."""
     rho = config.meter.rho
     grid = config.grid_spec()
     meter = gaussian_grid_meter(grid, rho)
@@ -587,11 +588,10 @@ def run_aav_grid(config: ExperimentConfig):
     conj_chirp = chirped_gaussian_state(grid, -rho).amps
     chirp_mom = complex(np.vdot(conj_chirp,
                                 meter.apply_B(meter.apply_P(conj_chirp))))
-    try:
-        qubit_closed = weak_value_closed_form(
-            replace(setup, meter=qubit_meter(rho)))
-    except UndefinedWeakValueError:
-        qubit_closed = None
+    ratio = (row.wv_aav_re, row.wv_aav_im)
+    # qubit_meter(rho)'s <m,BGm> to the bit: it sums rho with a zero
+    qubit_closed = (None if None in ratio else
+                    _closed_form(complex(*ratio), complex(rho + 0.0, 0.5)))
     return [row], {
         "initial_reading_abs": abs(read),
         "coupling_moment": [mom.real, mom.imag],

@@ -8,7 +8,7 @@ coupling, Gaussian initial state).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -130,12 +130,11 @@ def _coupling_matrix(grid: GridSpec, rho: float, q: np.ndarray):
 
 class _DenseView:
     """The n x n matrix of a grid operator, built on the first read of
-    ``entries`` and read-only. The meter's own operations never read it;
-    it is there for callers that want the matrix itself. At n = 1024 a
+    ``entries`` and read-only. The meter's own calls never read it; it
+    is there for callers that want the matrix itself. At n = 1024 a
     build copies 16 MiB and takes about 1 ms."""
 
-    def __init__(self, dim: int, build):
-        self.dim = dim
+    def __init__(self, build):
         self._build = build
 
     @cached_property
@@ -146,36 +145,35 @@ class _DenseView:
 
 
 @dataclass(frozen=True, eq=False)
-class GridMeter(MeterSpec):
+class GridMeter:
     """The Gaussian meter on a Fourier grid, applied without n x n matrices.
 
-    B = Q multiplies by the grid points, which are distinct and ascending,
-    so each point is its own readout branch. P is applied with one FFT
-    pair, and G = P + rho Q evolves by the split step
+    It implements the five calls of the meter contract (see MeterSpec)
+    itself. B = Q multiplies by the grid points, which are distinct and
+    ascending, so each point is its own readout branch. P is applied
+    with one FFT pair, and G = P + rho Q evolves by the split step
     exp(-it(P + rho Q)) = e^{i t^2 rho/2} e^{-it rho Q} e^{-itP}, exact
     in the continuum, where [Q, P] = i; on the grid it matches the dense
     exponential to roundoff while the state stays resolved. ``B`` and
-    ``G`` are dense views, built only when their ``entries`` are read;
-    at n = 1024 the G build takes about 1 ms, a strided copy of P's
-    circulant plus rho Q on the diagonal.
+    ``G`` are read-only dense views for callers that want the matrices,
+    built only when their ``entries`` are read; at n = 1024 the G build
+    takes about 1 ms, a strided copy of P's circulant plus rho Q on the
+    diagonal.
     """
 
     grid: GridSpec
     rho: float
-    m: StateVector = field(init=False)
-    B: _DenseView = field(init=False)
-    G: _DenseView = field(init=False)
 
     def __post_init__(self):
-        grid, rho, n = self.grid, self.rho, self.grid.n_points
+        grid, rho = self.grid, self.rho
         q = grid.points()
         q.setflags(write=False)          # handed out as the branch values
         init = partial(object.__setattr__, self)
         init("_q", q)
         init("_k", grid.wavenumbers())
         init("m", StateVector(_gaussian_amps(grid)))
-        init("B", _DenseView(n, lambda: np.diag(q.astype(complex))))
-        init("G", _DenseView(n, partial(_coupling_matrix, grid, rho, q)))
+        init("B", _DenseView(lambda: np.diag(q.astype(complex))))
+        init("G", _DenseView(partial(_coupling_matrix, grid, rho, q)))
 
     def apply_P(self, x: np.ndarray) -> np.ndarray:
         """P along the last axis of x."""

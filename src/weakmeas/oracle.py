@@ -62,10 +62,6 @@ class EstimateWithError:
     n_trials: int
     seed: int
 
-    @property
-    def is_empty(self) -> bool:
-        return self.n_success == 0
-
     @classmethod
     def from_counts(cls, values: np.ndarray, successes: np.ndarray,
                     n_trials: int, seed: int) -> EstimateWithError:

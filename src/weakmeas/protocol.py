@@ -13,10 +13,9 @@ both measurements share one conditional mean and one emptiness check.
 
 All composite-space arithmetic is done on the (dim_S, dim_M) amplitude
 array of the coupled state, so no operator on the full product space is
-ever materialized. The protocol asks a meter only to apply B and G, to
-couple a system state to it, and to name its readout branches
-(MeterSpec's methods), so a meter with structure, such as the
-Fourier-grid meter, never forms a dim_M x dim_M matrix.
+ever materialized. A meter is the five calls that MeterSpec's docstring
+lists, and nothing else is asked of it, so a meter with structure,
+such as the Fourier-grid meter, never forms a dim_M x dim_M matrix.
 """
 
 from __future__ import annotations
@@ -67,17 +66,18 @@ def _check_postselection(prob: float, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class MeterSpec:
-    """A meter: its initial state m, readout observable B, and coupling
-    operator G.
+    """The dense meter: its initial state m, readout observable B, and
+    coupling operator G as matrices.
 
     Construction checks dimensional consistency only. Calibration is a
     separate, explicit check (:func:`verify_calibration`) because
     deliberately mis-calibrated meters are legitimate probes of the
     general readout formula.
 
-    The methods are everything the protocol and the oracles ask of a
-    meter. Here they use the dense matrices; a meter with structure
-    overrides them (meters.GridMeter).
+    The meter contract is five calls: ``m``, ``apply_B``, ``apply_G``,
+    ``couple`` and ``readout``. They are everything the protocol and the
+    oracles ask of a meter. Here they use the dense matrices;
+    meters.GridMeter implements the same five without n x n matrices.
     """
 
     m: StateVector
@@ -194,11 +194,6 @@ class WeakValueReport:
     aav_complex: complex
     projective_conditional: float | None
     coupling_moment: complex
-
-    @property
-    def rho_effective(self) -> float:
-        """Re<m, BGm>, the rho a calibrated meter realises."""
-        return self.coupling_moment.real
 
 
 class OutcomeTable(NamedTuple):

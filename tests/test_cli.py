@@ -19,9 +19,11 @@ from weakmeas import cli
 from weakmeas.hilbert import DimensionMismatchError, Observable, StateVector
 from weakmeas.meters import qubit_meter
 from weakmeas.protocol import (
+    UndefinedWeakValueError,
     WeakSetup,
     aav_complex_weak_value,
     projective_tables,
+    weak_value_closed_form,
 )
 from weakmeas.cli import (
     CSV_COLUMNS,
@@ -426,6 +428,60 @@ class TestAavGridScenario:
         assert row["wv_closed"] == pytest.approx(100.0, abs=1e-6)
         assert abs(row["wv_numeric"] - row["wv_closed"]) <= 1e-4 * 100.0
 
+    def test_builds_no_qubit_meter(self, monkeypatch):
+        built = []
+
+        def counting(rho):
+            built.append(rho)
+            return qubit_meter(rho)
+
+        monkeypatch.setattr(cli, "qubit_meter", counting)
+        _, summary = run_scenario(replace(preset("nonunique-rho50"),
+                                          scenario="aav-grid"))
+        assert summary["qubit_meter_closed_form"] == 100.0
+        assert built == []
+
+    @staticmethod
+    def systems():
+        """(A, s, f) of dimension 2-4 as config entries: random draws,
+        sigma x with a circular preselection at both global signs (AAV
+        ratios 0 + i and -0 + i), and one orthogonal pair."""
+        def pairs(z):
+            return tuple((float(x.real), float(x.imag)) for x in z)
+
+        rng = np.random.default_rng(23)
+        out = []
+        for dim in (2, 3, 4, 2, 3, 4):
+            h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            a = (h + h.conj().T) / 2.0
+            s, f = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+            out.append((tuple(pairs(r) for r in a), pairs(s), pairs(f)))
+        sx = (((0.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, 0.0)))
+        e1, e2 = ((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0))
+        for sign in (1.0, -1.0):
+            out.append((sx, ((sign, 0.0), (0.0, sign)), e1))
+        out.append((sx, e1, e2))
+        return out
+
+    @pytest.mark.parametrize("rho", [0.0, -0.0, 3.0, -3.0, 37.5, -37.5,
+                                     1e3, -1e3])
+    def test_qubit_closed_form_is_the_qubit_meters_bit_for_bit(self, rho):
+        for a, s, f in self.systems():
+            cfg = generic_config(
+                scenario="aav-grid", a_entries=a, s_amps=s, f_amps=f,
+                meter=MeterConfig(kind="grid", rho=rho, n_points=256,
+                                  half_width=12.0))
+            _, summary = run_scenario(cfg)
+            got = summary["qubit_meter_closed_form"]
+            setup = WeakSetup(cfg.A, cfg.s, cfg.f, qubit_meter(rho))
+            try:
+                want = weak_value_closed_form(setup)
+            except UndefinedWeakValueError:
+                assert got is None
+                continue
+            # repr tells -0.0 from 0.0 and round-trips every other float
+            assert repr(got) == repr(want)
+
 
 class TestGridScenariosStayMatrixFree:
     @pytest.mark.parametrize("scenario", ["weak-value", "sweep-rho",
@@ -518,14 +574,14 @@ class TestCompareScenario:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("scenario, orthogonal, n_calls", [
-        ("weak-value", False, 2), ("aav-grid", False, 4),
+        ("weak-value", False, 2), ("aav-grid", False, 2),
         # no weak-value report to read the moment from: computed afresh
         ("weak-value", True, 2)])
     def test_coupling_moment_read_off_the_report(self, scenario, orthogonal,
                                                   n_calls, monkeypatch):
-        # one call calibrates each meter; weak-value's summary and
-        # aav-grid's reuse the report's moment (aav-grid's other two
-        # calls are its qubit meter's calibration and closed form)
+        # one call calibrates the meter and one is the report's; the
+        # summaries reuse the report's moment, and aav-grid reads the
+        # qubit meter's closed form off its row without building one
         from weakmeas import cli, protocol
         calls = []
         real = protocol.coupling_moment

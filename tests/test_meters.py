@@ -52,6 +52,17 @@ class TestQubitMeter:
         assert coupling_moment(qubit_meter(50.0)) == 50.0 + 0.5j
         assert coupling_moment(qubit_meter(-3.75)) == -3.75 + 0.5j
 
+    @pytest.mark.parametrize("rho", [0.0, -0.0, 3.0, -3.0, 37.5, -37.5,
+                                     1e3, -1e3])
+    def test_coupling_moment_is_rho_plus_half_i_to_the_bit(self, rho):
+        # aav-grid uses this moment as the qubit meter's, without one;
+        # B's upper entry rho + 0.5j sums rho with a zero, so -0.0 reads +0.0
+        got = coupling_moment(qubit_meter(rho))
+        want = complex(rho + 0.0, 0.5)
+        assert got == want
+        assert np.signbit(got.real) == np.signbit(want.real)
+        assert np.signbit(got.imag) == np.signbit(want.imag)
+
     def test_readout_hermitian(self):
         m = qubit_meter(12.5)
         np.testing.assert_array_equal(m.B.entries,

@@ -561,7 +561,7 @@ class TestWeakValueReport:
         assert rep.traditional == 0.0
         assert rep.aav_complex == 1j
         assert rep.projective_conditional == pytest.approx(0.0, abs=1e-12)
-        assert rep.rho_effective == 50.0
+        assert rep.coupling_moment.real == 50.0
         assert abs(rep.numeric - rep.closed_form) <= 10 * max(
             rep.numeric_error, 1e-9)
 
