@@ -218,8 +218,10 @@ class ExperimentConfig:
 
     Complex entries are (re, im) float pairs, matrices row-major; JSON-style
     lists are brought to that form. Construction checks every field,
-    Hermiticity and dimensional consistency, and keeps the validated system
-    as ``A``, ``s`` and ``f``, so a config that exists is one that runs.
+    Hermiticity and dimensional consistency, and keeps what it built: ``A``,
+    ``s``, ``f``, the ``schedule`` and the meter section's ``grid`` (for any
+    kind). So a config that exists is one that runs, but for the meter's
+    calibration, which a run checks as it builds the meter for each rho.
     """
 
     scenario: str
@@ -235,6 +237,8 @@ class ExperimentConfig:
     A: Observable = field(init=False, repr=False, compare=False)
     s: StateVector = field(init=False, repr=False, compare=False)
     f: StateVector = field(init=False, repr=False, compare=False)
+    schedule: EpsSchedule = field(init=False, repr=False, compare=False)
+    grid: GridSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _store(self, schema_version=_number(self.schema_version,
@@ -265,33 +269,23 @@ class ExperimentConfig:
             check_system(a, s, f)
         except DimensionMismatchError as exc:
             raise ConfigError(str(exc)) from exc
-        if not self.eps_values:
-            raise ConfigError("eps_schedule must not be empty")
-        for e in self.eps_values:
-            if not (0.0 < e <= 0.5):
-                raise ConfigError(f"eps value {e!r} outside (0, 0.5]")
-        # sample reads only the first eps, so one value is a schedule; a
-        # longer one must be the EpsSchedule that the other scenarios build
-        if len(self.eps_values) > 1:
-            self.schedule()
-        _store(self, A=a, s=s, f=f)
-
-    def grid_spec(self) -> GridSpec:
-        return GridSpec(self.meter.n_points, self.meter.half_width)
+        try:
+            schedule = EpsSchedule(self.eps_values)
+        except ValueError as exc:
+            raise ConfigError(f"eps schedule: {exc}") from exc
+        try:
+            grid = GridSpec(self.meter.n_points, self.meter.half_width)
+        except ValueError as exc:
+            raise ConfigError(f"meter: {exc}") from exc
+        _store(self, A=a, s=s, f=f, schedule=schedule, grid=grid)
 
     def setup(self, rho: float = None) -> WeakSetup:
         """The system with the config's meter at ``rho``, by default at
         the meter section's own rho."""
         rho = self.meter.rho if rho is None else rho
         meter = (qubit_meter(rho) if self.meter.kind == "qubit"
-                 else gaussian_grid_meter(self.grid_spec(), rho))
+                 else gaussian_grid_meter(self.grid, rho))
         return WeakSetup(self.A, self.s, self.f, meter)
-
-    def schedule(self) -> EpsSchedule:
-        try:
-            return EpsSchedule(self.eps_values)
-        except ValueError as exc:
-            raise ConfigError(f"eps schedule: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -466,7 +460,7 @@ def _clean(obj):
 def run_weak_value(config: ExperimentConfig):
     """Every weak-value notion for one setup, side by side."""
     setup = config.setup()
-    fields, mom = _weak_value_fields(eps_sweep(setup, config.schedule()))
+    fields, mom = _weak_value_fields(eps_sweep(setup, config.schedule))
     row = ResultRow(scenario="weak-value", rho=config.meter.rho, **fields)
     return [row], {
         "closed_minus_numeric": None
@@ -480,10 +474,9 @@ def run_sweep_rho(config: ExperimentConfig):
     """One weak-value row per rho; the closed form must move affinely."""
     if not config.rho_values:
         raise ConfigError("sweep-rho needs a nonempty rho_values list")
-    sched = config.schedule()
     rows = [ResultRow(scenario="sweep-rho", rho=rho,
                       **_weak_value_fields(eps_sweep(config.setup(rho),
-                                                     sched))[0])
+                                                     config.schedule))[0])
             for rho in sorted(config.rho_values)]
     # None when the weak value is undefined; then no row has wv_closed
     aav_imag = rows[0].wv_aav_im
@@ -492,8 +485,12 @@ def run_sweep_rho(config: ExperimentConfig):
     pairs = [(r.rho, r.wv_closed) for r in rows if r.wv_closed is not None]
     # a line through fewer than two distinct rho is not determined
     if len({rho for rho, _ in pairs}) >= 2:
-        slope, intercept = np.polyfit([p[0] for p in pairs],
-                                      [p[1] for p in pairs], 1)
+        # polyfit squares its columns, so it fits x and y divided by powers
+        # of two that bound them; the scaling and its undoing are exact
+        x, y = np.array(pairs).T
+        ex, ey = np.frexp(np.abs(pairs).max(axis=0))[1]
+        slope, intercept = np.polyfit(np.ldexp(x, -ex), np.ldexp(y, -ey), 1)
+        slope, intercept = np.ldexp(slope, ey - ex), np.ldexp(intercept, ey)
         summary.update(fitted_slope=float(slope),
                        fitted_intercept=float(intercept),
                        slope_residual=float(slope - 2.0 * aav_imag))
@@ -503,7 +500,7 @@ def run_sweep_rho(config: ExperimentConfig):
 def run_limit_check(config: ExperimentConfig):
     """Unconditional meter readings per eps, then the extrapolated limit."""
     setup = config.setup()
-    sweep = eps_sweep(setup, config.schedule())
+    sweep = eps_sweep(setup, config.schedule)
     eps_values = sweep.eps_values
     target = expectation(setup.A, setup.s)
     limit = unconditional_limit(sweep)
@@ -557,7 +554,7 @@ def run_sample(config: ExperimentConfig):
 
 def run_disturbance(config: ExperimentConfig):
     """How hard the readout kicks the system, across the eps schedule."""
-    sweep = eps_sweep(config.setup(), config.schedule())
+    sweep = eps_sweep(config.setup(), config.schedule)
     rows = [
         ResultRow(scenario="disturbance", rho=config.meter.rho, eps=e,
                   disturbance=d)
@@ -578,14 +575,13 @@ def run_aav_grid(config: ExperimentConfig):
     closed form is read off the row's complex weak value. The grid meter
     is used whatever the config's meter kind."""
     rho = config.meter.rho
-    grid = config.grid_spec()
-    meter = gaussian_grid_meter(grid, rho)
+    meter = gaussian_grid_meter(config.grid, rho)
     setup = WeakSetup(config.A, config.s, config.f, meter)
-    fields, mom = _weak_value_fields(eps_sweep(setup, config.schedule()))
+    fields, mom = _weak_value_fields(eps_sweep(setup, config.schedule))
     row = ResultRow(scenario="aav-grid", rho=rho, **fields)
     m = meter.m.amps
     read = complex(np.vdot(m, meter.apply_B(m)))      # B = Q
-    conj_chirp = chirped_gaussian_state(grid, -rho).amps
+    conj_chirp = chirped_gaussian_state(config.grid, -rho).amps
     chirp_mom = complex(np.vdot(conj_chirp,
                                 meter.apply_B(meter.apply_P(conj_chirp))))
     ratio = (row.wv_aav_re, row.wv_aav_im)
@@ -616,7 +612,10 @@ def run_compare(config: ExperimentConfig):
     correlated; each equals its own run with the same seed bit for bit.
     """
     setup = config.setup()
-    sweep = eps_sweep(setup, config.schedule())
+    sweep = eps_sweep(setup, config.schedule)
+    # both limits first, so a schedule they cannot use draws no trial
+    fields = _weak_value_fields(sweep)[0]
+    uncond = unconditional_limit(sweep)
     eps = config.eps_values[0]
     run, proj_run = monte_carlo_pair(setup, eps, config.mc.n_trials,
                                      config.mc.seed)
@@ -628,10 +627,9 @@ def run_compare(config: ExperimentConfig):
         mc_mean=est.mean / eps,
         mc_stderr=est.std_error / eps,
         mc_n_success=est.n_success,
-        **_weak_value_fields(sweep)[0],
+        **fields,
     )
     analytic = expectation(setup.A, setup.s)
-    uncond = unconditional_limit(sweep)
     # unconditional: every trial, passed or failed, reads the meter
     mc_uncond = EstimateWithError.from_counts(
         run.table.values, run.counts.sum(axis=1), est.n_trials, est.seed)

@@ -35,6 +35,7 @@ the table size never changes a run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -120,14 +121,16 @@ def exact_outcome_distribution(setup: WeakSetup, eps: float) -> OutcomeTable:
 
 
 def _philox_generator(seed: int, trial_offset: int) -> np.random.Generator:
-    # advance() takes the offset modulo 2^256, so a negative one would
-    # silently draw from the far end of the counter space
-    if trial_offset < 0:
-        raise ValueError(f"trial_offset must be nonnegative, "
-                         f"got {trial_offset}")
-    bits = np.random.Philox(key=seed)
+    # Philox truncates a float and takes a bool as 0 or 1, and advance()
+    # takes the offset modulo 2^256: each would draw another run's trials
+    for name, x in (("seed", seed), ("trial_offset", trial_offset)):
+        if type(x) is bool or not isinstance(x, numbers.Integral) or x < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, "
+                             f"got {x!r}")
+    # advance() overflows on a numpy integer, so both go in as Python ints
+    bits = np.random.Philox(key=int(seed))
     if trial_offset:
-        bits.advance(trial_offset)
+        bits.advance(int(trial_offset))
     return np.random.Generator(bits)
 
 

@@ -20,6 +20,7 @@ such as the Fourier-grid meter, never forms a dim_M x dim_M matrix.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,7 +39,6 @@ from .hilbert import (
 # Numerical contracts, shared by the test suite.
 CAL_READ_TOL = 1e-10      # |<m, Bm>|: the meter must initially read zero
 CAL_GAIN_TOL = 1e-8       # |2 Im<m, BGm> - 1|: unit gain
-ORTHO_CUTOFF = 1e-12      # |<f, s>| at or below this: weak value undefined
 EMPTY_PROB = 1e-20        # postselection probability below this is empty
 
 #: Geometric eps schedule used when none is given. Successive halvings so
@@ -51,17 +51,18 @@ class CalibrationError(ValueError):
 
 
 class UndefinedWeakValueError(ValueError):
-    """Pre- and postselected states are orthogonal: weak value undefined."""
+    """|<f, s>|^2 is below EMPTY_PROB: the weak value is undefined."""
 
 
 class EmptyPostselectionError(ValueError):
     """Postselection succeeds with numerically zero probability."""
 
 
-def _check_postselection(prob: float, what: str) -> None:
+def _check_postselection(prob: float, what: str,
+                         error=EmptyPostselectionError) -> None:
     """The one emptiness rule: a probability below EMPTY_PROB is empty."""
     if prob < EMPTY_PROB:
-        raise EmptyPostselectionError(f"{what} {prob:.3e} is numerically zero")
+        raise error(f"{what} {prob:.3e} is numerically zero")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,17 +145,22 @@ def check_system(a: Observable, s: StateVector, f: StateVector) -> None:
 
 @dataclass(frozen=True)
 class EpsSchedule:
-    """Descending coupling strengths used for the eps -> 0 extrapolation."""
+    """One or more strictly descending eps in (0, 0.5], the largest first;
+    the eps -> 0 limits need two, and richardson_limit says so."""
 
     eps_values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(e) for e in self.eps_values)
+        if len(self.eps_values) == 0:
+            raise ValueError("schedule needs at least one eps value")
+        for e in self.eps_values:
+            # float() would take a string or a bool silently
+            if not isinstance(e, numbers.Real) or isinstance(e, bool):
+                raise ValueError(f"eps value {e!r} is not a number")
+            if not 0.0 < e <= 0.5:
+                raise ValueError(f"eps value {e!r} outside (0, 0.5]")
+        vals = tuple(map(float, self.eps_values))
         object.__setattr__(self, "eps_values", vals)
-        if len(vals) < 2:
-            raise ValueError("schedule needs at least two eps values")
-        if any(not (0.0 < e <= 0.5) for e in vals):
-            raise ValueError("eps values must lie in (0, 0.5]")
         if any(later >= earlier for later, earlier in zip(vals[1:], vals)):
             raise ValueError("eps values must be strictly descending")
 
@@ -272,7 +278,7 @@ def richardson_limit(eps_values, samples) -> ExtrapolationResult:
     if len(x) != len(t):
         raise ValueError("need one sample per eps value")
     if len(x) < 2:
-        raise ValueError("extrapolation needs at least two points")
+        raise ValueError("extrapolation needs at least two eps values")
     diag = [t[0]]
     for m in range(1, len(x)):
         t = [
@@ -291,11 +297,12 @@ def richardson_limit(eps_values, samples) -> ExtrapolationResult:
 
 
 def _check_overlap(a: Observable, s: StateVector, f: StateVector) -> None:
+    """Raise UndefinedWeakValueError where |<f, s>|^2, the probability
+    that s passes f, is empty by the one emptiness rule."""
     check_system(a, s, f)
-    if abs(np.vdot(f.amps, s.amps)) <= ORTHO_CUTOFF:
-        raise UndefinedWeakValueError(
-            "weak value undefined: <f, s> is numerically zero"
-        )
+    _check_postselection(abs(np.vdot(f.amps, s.amps)) ** 2,
+                         "weak value undefined: |<f, s>|^2",
+                         UndefinedWeakValueError)
 
 
 @dataclass(frozen=True, eq=False)

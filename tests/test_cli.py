@@ -17,8 +17,9 @@ from dataclasses import asdict, replace
 
 from weakmeas import cli
 from weakmeas.hilbert import DimensionMismatchError, Observable, StateVector
-from weakmeas.meters import qubit_meter
+from weakmeas.meters import GridSpec, qubit_meter
 from weakmeas.protocol import (
+    EpsSchedule,
     UndefinedWeakValueError,
     WeakSetup,
     aav_complex_weak_value,
@@ -149,6 +150,65 @@ class TestConfigValidation:
     def test_eps_out_of_range(self):
         with pytest.raises(ConfigError, match="eps"):
             generic_config(eps_values=(0.9, 0.45))
+
+    def test_keeps_the_schedule_and_grid_it_checked(self):
+        cfg = generic_config(eps_values=(1e-2, 5e-3),
+                             meter=MeterConfig(n_points=256, half_width=12.0))
+        assert cfg.schedule == EpsSchedule((1e-2, 5e-3))
+        assert cfg.grid == GridSpec(256, 12.0)
+        # fields, not methods that rebuild them on every call
+        assert not hasattr(ExperimentConfig, "grid_spec")
+        assert not callable(getattr(ExperimentConfig, "schedule", None))
+
+    def test_runners_build_no_schedule_or_grid(self, monkeypatch):
+        configs = [generic_config(
+            scenario=scenario, rho_values=(0.0, 1.0),
+            meter=MeterConfig(rho=3.0, n_points=256, half_width=12.0),
+            mc=MonteCarloConfig(n_trials=100, seed=1))
+            for scenario in SCENARIOS]
+
+        def refuse(*args):
+            raise AssertionError("built again at run time")
+
+        monkeypatch.setattr(cli, "EpsSchedule", refuse)
+        monkeypatch.setattr(cli, "GridSpec", refuse)
+        for cfg in configs:
+            run_scenario(cfg)
+
+    @pytest.mark.parametrize("kind", ["qubit", "grid"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_points", 3, "n_points must be a power of two, got 3"),
+        ("half_width", -1.0, "half_width must be positive and finite, "
+                             "got -1.0")])
+    def test_meter_grid_checked_for_every_kind(self, kind, key, value,
+                                               message):
+        # aav-grid runs the grid whatever the kind, so every config's
+        # grid must be one that GridSpec accepts
+        with pytest.raises(ConfigError) as exc:
+            generic_config(meter=MeterConfig(kind=kind, **{key: value}))
+        assert str(exc.value) == f"meter: {message}"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("s", [], "state literal must be a nonempty list"),
+        ("A", [], "matrix literal must be a nonempty list of rows"),
+        ("A", [[1, 0]], "matrix literal must be square, row-major")])
+    def test_malformed_system_literals(self, key, value, message):
+        data = preset("aav100").to_dict()
+        data["system"][key] = value
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(data)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits(self, seed):
+        with pytest.raises(ConfigError) as exc:
+            MonteCarloConfig(seed=seed)
+        assert str(exc.value) == "mc.seed must be an unsigned 64-bit integer"
+
+    def test_section_must_be_its_config_class(self):
+        with pytest.raises(ConfigError) as exc:
+            generic_config(meter={"kind": "qubit"})
+        assert str(exc.value) == "meter must be a MeterConfig"
 
     def test_bad_meter_kind(self):
         with pytest.raises(ConfigError, match="kind"):
@@ -333,6 +393,18 @@ class TestSweepRhoScenario:
         assert closed == pytest.approx([closed[0]] * 3, abs=1e-12)
         assert closed[0] == pytest.approx(rows[0].wv_traditional)
         assert abs(summary["fitted_slope"]) <= 1e-10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("big", [1e154, 1e300])
+    def test_fit_survives_rho_near_the_float_range(self, big):
+        # polyfit squares its columns, which overflowed at |rho| ~ 1e154
+        # and printed a slope of 0.0 beside rows that all read ok
+        cfg = replace(preset("nonunique-rho50"), scenario="sweep-rho",
+                      rho_values=(-big, 0.0, big))
+        rows, summary = run_scenario(cfg)
+        assert [r.status for r in rows] == [STATUS_OK] * 3
+        assert summary["fitted_slope"] == pytest.approx(2.0, rel=1e-12)
+        assert abs(summary["slope_residual"]) <= 1e-12
 
     def test_one_distinct_rho_fits_no_line(self):
         cfg = generic_config(scenario="sweep-rho", rho_values=(5.0, 5.0, 5.0))
@@ -553,6 +625,15 @@ class TestCompareScenario:
         # weak signal is honest only to a few stderr
         assert row.mc_mean == pytest.approx(1.0, abs=5 * row.mc_stderr)
 
+    def test_one_trial_leaves_no_error_bar(self, capsys):
+        # one trial has no spread, so both standard errors are NaN, which
+        # a strict JSON report can only hold as null
+        assert main(["compare", "--preset", "convexity-contrast",
+                     "--trials", "1", "--format", "json"]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["unconditional"]["mc_stderr_over_eps"] is None
+        assert summary["conditional"]["mc_projective_stderr"] is None
+
     def test_one_coupled_state_per_eps_plus_one_for_sampling(self,
                                                               monkeypatch):
         from weakmeas import oracle, protocol
@@ -567,7 +648,7 @@ class TestCompareScenario:
         monkeypatch.setattr(oracle, "coupled_state", counting)
         cfg = preset("convexity-contrast")
         run_scenario(cfg)
-        assert len(calls) == len(cfg.schedule().eps_values) + 1 == 6
+        assert len(calls) == len(cfg.schedule.eps_values) + 1 == 6
         # sample reads the exact mean off the table it sampled
         calls.clear()
         run_scenario(replace(cfg, scenario="sample"))
@@ -870,7 +951,7 @@ class TestMainEntry:
                                     "meter": {"kind": "grid",
                                               "n_points": 2 ** 40}}))
         cases.append(["weak-value", "--config", str(huge)])
-        # an empty schedule is named by the key the config file uses
+        # an empty schedule is refused by the schedule itself
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({**generic_config().to_dict(),
                                      "eps_schedule": []}))
@@ -891,7 +972,8 @@ class TestMainEntry:
                               "or null, got ''\n")
         for i, key in enumerate(unknown, len(wrong_types) - len(unknown)):
             assert repr(key) in errors[str(tmp_path / f"wrong{i}.json")]
-        assert errors[str(empty)] == "error: eps_schedule must not be empty\n"
+        assert errors[str(empty)] == ("error: eps schedule: schedule needs "
+                                      "at least one eps value\n")
         assert errors[ascending[-1]] == ("error: eps schedule: eps values "
                                          "must be strictly descending\n")
         for eps in malformed:
@@ -901,7 +983,8 @@ class TestMainEntry:
         assert main(["weak-value", "--preset", "aav100", "--eps", ""]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
-            "", "error: eps_schedule must not be empty\n")
+            "", "error: eps schedule: schedule needs at least one eps "
+                "value\n")
         # a whole float is an int: JSON 1e6 loads as 1000000.0
         path = tmp_path / "whole.json"
         path.write_text(json.dumps({**generic_config().to_dict(),
@@ -994,3 +1077,66 @@ class TestUndefinedRowThroughCli:
         assert row["status"] == STATUS_UNDEFINED
         assert row["mc_n_success"] == 4
         assert math.isfinite(row["mc_stderr"])
+
+
+class TestOneStatementPerInputRule:
+    """The overlap, the eps schedule and the meter grid are each judged
+    by one rule, in the object that owns it."""
+
+    @staticmethod
+    def band_config(tmp_path, delta):
+        # <f, s> = delta against A = sigma_z and s = e1
+        path = tmp_path / f"band{delta}.json"
+        path.write_text(json.dumps({
+            "scenario": "weak-value",
+            "system": {"A": [[1, 0], [0, -1]], "s": [1, 0],
+                       "f": [delta, 1]}}))
+        return str(path)
+
+    @pytest.mark.parametrize("delta", [1e-11, 1e-13])
+    @pytest.mark.parametrize("scenario", ["weak-value", "compare",
+                                          "aav-grid"])
+    def test_overlap_below_the_floor_is_undefined(self, tmp_path, capsys,
+                                                  scenario, delta):
+        path = self.band_config(tmp_path, delta)
+        assert main([scenario, "--config", path, "--trials", "1000"]) == 0
+        rows = row_dicts(capsys.readouterr().out)
+        assert [r["status"] for r in rows] == [STATUS_UNDEFINED]
+        assert rows[0]["wv_numeric"] == rows[0]["wv_closed"] == ""
+
+    def test_sample_on_the_band_still_exits_2(self, tmp_path, capsys):
+        path = self.band_config(tmp_path, 1e-11)
+        assert main(["sample", "--config", path, "--trials", "1000"]) == 2
+        assert capsys.readouterr() == ("", "error: total success probability "
+                                           "1.000e-22 is numerically zero\n")
+
+    def test_one_eps_is_a_schedule(self, capsys):
+        assert main(["disturbance", "--preset", "aav100",
+                     "--eps", "0.01"]) == 0
+        assert [r["eps"] for r in row_dicts(capsys.readouterr().out)] \
+            == ["0.01"]
+
+    @pytest.mark.parametrize("scenario", ["limit-check", "weak-value",
+                                          "compare"])
+    def test_extrapolation_needs_two_eps(self, scenario, capsys,
+                                         monkeypatch):
+        drawn = []
+        monkeypatch.setattr(cli, "monte_carlo_pair",
+                            lambda *args: drawn.append(args))
+        assert main([scenario, "--preset", "aav100", "--eps", "0.01"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: extrapolation needs at least two eps values\n")
+        # compare finds out before it draws a trial
+        assert drawn == []
+
+    def test_bad_grid_exits_2_before_any_run(self, tmp_path, capsys,
+                                             monkeypatch):
+        path = tmp_path / "grid3.json"
+        path.write_text(json.dumps({**generic_config().to_dict(),
+                                    "meter": {"kind": "qubit", "rho": 3.0,
+                                              "n_points": 3}}))
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda config: pytest.fail("the config ran"))
+        assert main(["weak-value", "--config", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: meter: n_points must be a power of two, got 3\n")

@@ -52,6 +52,11 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector([0, 0])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError,
+                           match="state vector needs at least one amplitude"):
+            StateVector([])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_non_finite_rejected(self, bad):
         # NaN would otherwise survive normalization as an all-NaN state
@@ -159,6 +164,11 @@ class TestObservable:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
             Observable([[0, 1], [0, 0]])
+
+    def test_immutable(self):
+        a = Observable(SZ)
+        with pytest.raises(AttributeError, match="Observable is immutable"):
+            a.dim = 3
 
     def test_storage_symmetrized(self):
         # defect below tolerance is accepted and symmetrized away
@@ -417,6 +427,10 @@ class TestExpectation:
     def test_basis_state(self):
         assert expectation(Observable(SZ), E1) == pytest.approx(1)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            expectation(Observable(SZ), StateVector([1, 0, 0]))
+
     def test_balanced_superposition(self):
         v = StateVector([1, 1])
         assert expectation(Observable(SZ), v) == pytest.approx(0, abs=1e-15)
@@ -493,6 +507,10 @@ class TestTraceDistance:
         rho = DensityMatrix.from_state(E1)
         assert trace_distance(rho.entries, rho.entries) == pytest.approx(
             0, abs=1e-15)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            trace_distance(np.eye(2), np.eye(3))
 
     def test_orthogonal_states(self):
         d = trace_distance(DensityMatrix.from_state(E1).entries,

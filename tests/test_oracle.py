@@ -252,6 +252,36 @@ class TestMonteCarlo:
             assert got.tobytes() == want.tobytes()
         assert run.counts.shape == (len(table.values), 2)
 
+    def test_zero_eps_rejected(self):
+        with pytest.raises(ValueError,
+                           match="outcome statistics require eps > 0"):
+            monte_carlo_run(canonical_setup(1.0), 0.0, 10, 1)
+
+    def test_needs_a_trial(self):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            monte_carlo_run(canonical_setup(1.0), 1e-2, 0, 1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 7.9), ("seed", 7.0), ("seed", True), ("seed", "7"),
+        ("trial_offset", True), ("trial_offset", 1.0),
+        ("trial_offset", "1")])
+    def test_seed_and_offset_must_be_integers(self, name, value):
+        # Philox would truncate 7.9 to seed 7's stream and take True as 1
+        with pytest.raises(ValueError) as exc:
+            monte_carlo_run(canonical_setup(1.0), 1e-2, 1000,
+                            **{"seed": 7, name: value})
+        assert str(exc.value) == (f"{name} must be a nonnegative integer, "
+                                  f"got {value!r}")
+
+    def test_numpy_integers_draw_the_python_integer_stream(self):
+        setup = canonical_setup(1.0)
+        want = monte_carlo_run(setup, 1e-2, 1000, 7, trial_offset=3).counts
+        for seed, offset in ((np.int64(7), np.int64(3)),
+                             (np.uint64(7), np.uint32(3))):
+            got = monte_carlo_run(setup, 1e-2, 1000, seed,
+                                  trial_offset=offset).counts
+            np.testing.assert_array_equal(got, want)
+
     def test_negative_trial_offset_rejected(self):
         # Philox.advance wraps a negative offset around the 256-bit
         # counter, which would silently draw from its far end

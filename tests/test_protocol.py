@@ -93,8 +93,12 @@ class TestEpsSchedule:
             assert b == pytest.approx(a / 2)
 
     def test_needs_two_values(self):
-        with pytest.raises(ValueError):
-            EpsSchedule((1e-2,))
+        # one value is a schedule; the extrapolation asks for two
+        assert EpsSchedule((1e-2,)).eps_values == (1e-2,)
+        with pytest.raises(ValueError, match="at least one"):
+            EpsSchedule(())
+        with pytest.raises(ValueError, match="at least two eps values"):
+            richardson_limit((1e-2,), (1.0,))
 
     def test_rejects_ascending(self):
         with pytest.raises(ValueError):
@@ -105,6 +109,18 @@ class TestEpsSchedule:
             EpsSchedule((0.9, 0.45))
         with pytest.raises(ValueError):
             EpsSchedule((1e-2, 0.0))
+
+    def test_range_message_names_the_value(self):
+        with pytest.raises(ValueError) as exc:
+            EpsSchedule((0.7, 0.1))
+        assert str(exc.value) == "eps value 0.7 outside (0, 0.5]"
+
+    @pytest.mark.parametrize("bad", [("0.01", "0.005"), (True,),
+                                     (0.01, False)])
+    def test_rejects_strings_and_bools(self, bad):
+        # float() would turn each into an eps without a word
+        with pytest.raises(ValueError, match="is not a number"):
+            EpsSchedule(bad)
 
 
 class TestRichardson:
@@ -285,12 +301,31 @@ class TestConditionalExpectation:
             record.conditional_expectations()
 
     def test_numerically_empty_postselection(self):
-        # overlap 1e-11 passes the orthogonality cutoff but the success
-        # probability ~1e-22 is below the empty-condition floor
+        # overlap 1e-11: |<f,s>|^2 ~ 1e-22 is below the one postselection
+        # floor, so the weak value is undefined, not an empty division
         f = StateVector([1e-11, 1.0])
         setup = WeakSetup(Observable(SZ), E1, f, qubit_meter(0.0))
         record = sweep(setup, 1e-3, 5e-4)
-        with pytest.raises(EmptyPostselectionError):
+        with pytest.raises(UndefinedWeakValueError):
+            record.conditional_expectations()
+
+    @pytest.mark.parametrize("delta, undefined", [(1e-9, False),
+                                                  (1e-11, True),
+                                                  (1e-13, True)])
+    def test_overlap_judged_by_the_postselection_floor(self, delta,
+                                                       undefined):
+        # |<f,s>|^2 ~ delta^2 meets the one floor EMPTY_PROB = 1e-20, with
+        # no second cutoff on |<f,s>| that would leave a band between them
+        f = StateVector([delta, 1.0])
+        a = Observable(SZ)
+        record = sweep(WeakSetup(a, E1, f, qubit_meter(0.0)), 1e-3, 5e-4)
+        if undefined:
+            with pytest.raises(UndefinedWeakValueError, match=r"\|<f, s>\|"):
+                aav_complex_weak_value(a, E1, f)
+            with pytest.raises(UndefinedWeakValueError):
+                record.conditional_expectations()
+        else:
+            assert aav_complex_weak_value(a, E1, f) == pytest.approx(1.0)
             record.conditional_expectations()
 
     def test_one_emptiness_rule_for_tables_and_sweeps(self):
