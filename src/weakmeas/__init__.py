@@ -2,19 +2,16 @@
 
 Coupled-system weak measurement protocol, weak value formulas, concrete
 meter constructions, exact and Monte Carlo oracles, and an experiment
-runner CLI.
+runner CLI. The namespace holds what the demos and users import from it;
+every other name is imported from its module.
 """
 
 from .hilbert import (
     DimensionMismatchError,
     HermiticityError,
     Observable,
-    SpectralDecomposition,
     StateVector,
-    eig_hermitian,
-    evolve_coupling,
     expectation,
-    trace_distance,
 )
 from .meters import (
     GridSpec,
@@ -26,7 +23,6 @@ from .meters import (
 )
 from .oracle import (
     EstimateWithError,
-    MonteCarloRun,
     exact_outcome_distribution,
     monte_carlo_pair,
     monte_carlo_run,
@@ -36,20 +32,15 @@ from .protocol import (
     CalibrationError,
     EmptyPostselectionError,
     EpsSchedule,
-    EpsSweep,
-    ExtrapolationResult,
     MeterSpec,
     OutcomeTable,
     UndefinedWeakValueError,
     WeakSetup,
-    WeakValueReport,
     aav_complex_weak_value,
-    coupled_state,
     coupling_moment,
     disturbance,
     eps_sweep,
     projective_conditional_expectation,
-    richardson_limit,
     traditional_weak_value,
     unconditional_limit,
     verify_calibration,
@@ -65,28 +56,20 @@ __all__ = [
     "DimensionMismatchError",
     "EmptyPostselectionError",
     "EpsSchedule",
-    "EpsSweep",
     "EstimateWithError",
-    "ExtrapolationResult",
     "GridSpec",
     "HermiticityError",
     "MeterSpec",
-    "MonteCarloRun",
     "Observable",
     "OutcomeTable",
-    "SpectralDecomposition",
     "StateVector",
     "UndefinedWeakValueError",
     "WeakSetup",
-    "WeakValueReport",
     "aav_complex_weak_value",
     "chirped_gaussian_state",
-    "coupled_state",
     "coupling_moment",
     "disturbance",
-    "eig_hermitian",
     "eps_sweep",
-    "evolve_coupling",
     "exact_outcome_distribution",
     "expectation",
     "gaussian_grid_meter",
@@ -97,8 +80,6 @@ __all__ = [
     "projective_A_oracle",
     "projective_conditional_expectation",
     "qubit_meter",
-    "richardson_limit",
-    "trace_distance",
     "traditional_weak_value",
     "unconditional_limit",
     "verify_calibration",

@@ -38,6 +38,7 @@ from .meters import (
 from .oracle import EstimateWithError, monte_carlo_pair, monte_carlo_run
 from .protocol import (
     DEFAULT_EPS,
+    WV_RTOL,
     EpsSchedule,
     EpsSweep,
     UndefinedWeakValueError,
@@ -56,6 +57,7 @@ SCHEMA_VERSION = 1
 
 STATUS_OK = "ok"
 STATUS_UNDEFINED = "undefined (<f,s> ~ 0)"
+STATUS_UNCONVERGED = "unconverged"
 
 
 class ConfigError(ValueError):
@@ -259,6 +261,8 @@ class ExperimentConfig:
                f_amps=_canonical_vector(self.f_amps),
                eps_values=_numbers(self.eps_values, "eps_schedule"),
                rho_values=_numbers(self.rho_values, "rho_values"))
+        if self.scenario == "sweep-rho" and not self.rho_values:
+            raise ConfigError("sweep-rho needs a nonempty rho_values list")
         try:
             a = Observable(_complex_array(self.a_entries))
         except HermiticityError as exc:
@@ -418,10 +422,21 @@ CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 _FLOAT_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.type == "float")
 
 
+def _status(tol: float, *checks) -> str:
+    """A row's status from its (value, reference) checks: ok when ``tol``
+    is finite and every value is within it of its reference. A NaN is not
+    within, and an infinite reference leaves nothing to check against."""
+    if tol < math.inf and all(abs(value - ref) <= tol
+                              for value, ref in checks):
+        return STATUS_OK
+    return STATUS_UNCONVERGED
+
+
 def _weak_value_fields(sweep: EpsSweep):
     """The weak-value column family for one sweep, undefined-safe, and
     the coupling moment <m, BGm>: the weak-value report's, or computed
-    afresh when the weak value is undefined and there is no report."""
+    afresh when the weak value is undefined and there is no report. Value
+    and error estimate must be within WV_RTOL max(1, |closed form|)."""
     try:
         report = weak_value_report(sweep)
     except UndefinedWeakValueError:
@@ -436,7 +451,9 @@ def _weak_value_fields(sweep: EpsSweep):
         "wv_aav_re": report.aav_complex.real,
         "wv_aav_im": report.aav_complex.imag,
         "projective_cond": report.projective_conditional,
-        "status": STATUS_OK,
+        "status": _status(WV_RTOL * max(1.0, abs(report.closed_form)),
+                          (report.numeric, report.closed_form),
+                          (report.numeric_error, 0.0)),
     }, report.coupling_moment
 
 
@@ -472,8 +489,6 @@ def run_weak_value(config: ExperimentConfig):
 
 def run_sweep_rho(config: ExperimentConfig):
     """One weak-value row per rho; the closed form must move affinely."""
-    if not config.rho_values:
-        raise ConfigError("sweep-rho needs a nonempty rho_values list")
     rows = [ResultRow(scenario="sweep-rho", rho=rho,
                       **_weak_value_fields(eps_sweep(config.setup(rho),
                                                      config.schedule))[0])

@@ -38,6 +38,7 @@ from .hilbert import (
 
 # Numerical contracts, shared by the test suite.
 CAL_READ_TOL = 1e-10      # |<m, Bm>|: the meter must initially read zero
+WV_RTOL = 1e-4            # a weak value: within 1e-4 max(1, |closed form|)
 CAL_GAIN_TOL = 1e-8       # |2 Im<m, BGm> - 1|: unit gain
 EMPTY_PROB = 1e-20        # postselection probability below this is empty
 
@@ -174,8 +175,8 @@ class ExtrapolationResult:
     """Outcome of a Richardson extrapolation to eps = 0.
 
     ``error_estimate`` is the difference of the last two extrapolants;
-    ``converged`` is False when that difference grew instead of shrinking,
-    in which case the value is still reported but should be distrusted.
+    ``converged`` is False when that difference grew instead of shrinking.
+    A report row's status reads ``error_estimate``, not ``converged``.
     """
 
     limit: float

@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataclasses import asdict, replace
 
@@ -30,6 +32,7 @@ from weakmeas.cli import (
     CSV_COLUMNS,
     SCENARIOS,
     STATUS_OK,
+    STATUS_UNCONVERGED,
     STATUS_UNDEFINED,
     ConfigError,
     ExperimentConfig,
@@ -140,12 +143,14 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_schedule_must_descend_for_every_scenario(self, scenario):
+        # sweep-rho needs rho values; the other scenarios ignore them
+        rho = {"rho_values": (1.0,)}
         for eps in ((1e-3, 1e-2), (1e-2, 1e-2), (1e-2, 5e-3, 6e-3)):
             with pytest.raises(ConfigError, match="strictly descending"):
-                generic_config(scenario=scenario, eps_values=eps)
+                generic_config(scenario=scenario, eps_values=eps, **rho)
         # one eps is a schedule: sample reads only the first
-        assert generic_config(scenario=scenario,
-                              eps_values=(1e-2,)).eps_values == (1e-2,)
+        assert generic_config(scenario=scenario, eps_values=(1e-2,),
+                              **rho).eps_values == (1e-2,)
 
     def test_eps_out_of_range(self):
         with pytest.raises(ConfigError, match="eps"):
@@ -378,9 +383,9 @@ class TestSweepRhoScenario:
         assert summary["slope_residual"] == pytest.approx(0.0, abs=1e-10)
 
     def test_empty_rho_values_rejected(self):
-        cfg = generic_config(scenario="sweep-rho")
+        # refused when the config is built, so no config exists to run
         with pytest.raises(ConfigError, match="rho_values"):
-            run_scenario(cfg)
+            generic_config(scenario="sweep-rho")
 
     def test_real_ratio_makes_the_sweep_flat(self):
         # Im<f,As>/<f,s> = 0 pins the closed form at the traditional
@@ -1140,3 +1145,72 @@ class TestOneStatementPerInputRule:
         assert main(["weak-value", "--config", str(path)]) == 2
         assert capsys.readouterr() == (
             "", "error: meter: n_points must be a power of two, got 3\n")
+
+
+@st.composite
+def weak_value_configs(draw, kinds, log_overlap):
+    """A weak-value config: a random Hermitian A, a random unit s, and a
+    unit f with |<f, s>| = 10 ** x for x drawn from ``log_overlap``."""
+    kind = draw(st.sampled_from(kinds))
+    dim = 2 if kind == "grid" else draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = (x + x.conj().T) / 2.0
+    s, u = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+    s /= np.linalg.norm(s)
+    u -= np.vdot(s, u) * s
+    u /= np.linalg.norm(u)
+    c = 10.0 ** draw(st.floats(*log_overlap))
+    f = c * s + math.sqrt(1.0 - c * c) * np.exp(2j * np.pi * rng.random()) * u
+
+    def pairs(v):
+        return tuple((z.real, z.imag) for z in v.tolist())
+
+    return ExperimentConfig(
+        scenario="weak-value", a_entries=tuple(map(pairs, a)),
+        s_amps=pairs(s), f_amps=pairs(f),
+        meter=MeterConfig(kind=kind, rho=draw(st.floats(-50.0, 50.0))))
+
+
+class TestUnconvergedStatus:
+    """A weak-value row matches its closed form within 1e-4 max(1, |closed
+    form|), or its status is not ok."""
+
+    @staticmethod
+    def assert_close_or_flagged(cfg):
+        (row,), _ = run_scenario(cfg)
+        if row.status == STATUS_OK:
+            tol = 1e-4 * max(1.0, abs(row.wv_closed))
+            assert abs(row.wv_numeric - row.wv_closed) <= tol
+
+    @settings(derandomize=True, database=None, max_examples=100,
+              deadline=None)
+    @given(weak_value_configs(("qubit", "grid"), (-1.0, 0.0)))
+    def test_both_meters_at_overlap_above_a_tenth(self, cfg):
+        self.assert_close_or_flagged(cfg)
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(weak_value_configs(("qubit",), (-6.0, 0.0)))
+    def test_qubit_meter_down_to_overlap_1e_6(self, cfg):
+        # the default schedule misses by a relative 0.27 at |<f,s>| = 1e-3
+        self.assert_close_or_flagged(cfg)
+
+    @pytest.mark.parametrize("a, rho", [
+        # the nonunique-rho50 states far outside the weak regime: 1627.5
+        # beside a closed form of 2e300
+        ([[0, 1e300], [1e300, 0]], 1.0),
+        # a closed form that overflows leaves an empty cell to match
+        ([[8e307, 8e307], [8e307, 8e307]], 2.0),
+    ])
+    def test_out_of_regime_row_prints_unconverged(self, tmp_path, capsys,
+                                                  a, rho):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "scenario": "weak-value",
+            "system": {"A": a, "s": [1, [0, 1]], "f": [1, 0]},
+            "meter": {"kind": "qubit", "rho": rho}}))
+        assert main(["weak-value", "--config", str(path)]) == 0
+        (record,) = row_dicts(capsys.readouterr().out)
+        assert record["status"] == STATUS_UNCONVERGED
+        assert record["wv_numeric"] != ""
