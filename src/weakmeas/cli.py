@@ -38,17 +38,15 @@ from .meters import (
 from .oracle import EstimateWithError, monte_carlo_pair, monte_carlo_run
 from .protocol import (
     DEFAULT_EPS,
+    LIMIT_RTOL,
     WV_RTOL,
     EpsSchedule,
-    EpsSweep,
-    UndefinedWeakValueError,
     WeakSetup,
+    WeakValueReport,
     _closed_form,
     check_system,
-    coupling_moment,
     disturbance,
     eps_sweep,
-    projective_conditional_or_none,
     unconditional_limit,
     weak_value_report,
 )
@@ -432,18 +430,13 @@ def _status(tol: float, *checks) -> str:
     return STATUS_UNCONVERGED
 
 
-def _weak_value_fields(sweep: EpsSweep):
-    """The weak-value column family for one sweep, undefined-safe, and
-    the coupling moment <m, BGm>: the weak-value report's, or computed
-    afresh when the weak value is undefined and there is no report. Value
-    and error estimate must be within WV_RTOL max(1, |closed form|)."""
-    try:
-        report = weak_value_report(sweep)
-    except UndefinedWeakValueError:
-        setup = sweep.setup
-        return {"projective_cond": projective_conditional_or_none(
-                    setup.A, setup.s, setup.f),
-                "status": STATUS_UNDEFINED}, coupling_moment(setup.meter)
+def _weak_value_fields(report: WeakValueReport) -> dict:
+    """The weak-value column family of a report; an undefined weak value
+    leaves its columns empty. Value and error estimate must be within
+    WV_RTOL max(1, |closed form|)."""
+    if report.aav_complex is None:
+        return {"projective_cond": report.projective_conditional,
+                "status": STATUS_UNDEFINED}
     return {
         "wv_numeric": report.numeric,
         "wv_closed": report.closed_form,
@@ -454,7 +447,7 @@ def _weak_value_fields(sweep: EpsSweep):
         "status": _status(WV_RTOL * max(1.0, abs(report.closed_form)),
                           (report.numeric, report.closed_form),
                           (report.numeric_error, 0.0)),
-    }, report.coupling_moment
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -476,22 +469,22 @@ def _clean(obj):
 
 def run_weak_value(config: ExperimentConfig):
     """Every weak-value notion for one setup, side by side."""
-    setup = config.setup()
-    fields, mom = _weak_value_fields(eps_sweep(setup, config.schedule))
-    row = ResultRow(scenario="weak-value", rho=config.meter.rho, **fields)
+    report = weak_value_report(eps_sweep(config.setup(), config.schedule))
+    row = ResultRow(scenario="weak-value", rho=config.meter.rho,
+                    **_weak_value_fields(report))
     return [row], {
         "closed_minus_numeric": None
         if row.wv_numeric is None or row.wv_closed is None
         else row.wv_closed - row.wv_numeric,
-        "rho_effective": mom.real,
+        "rho_effective": report.coupling_moment.real,
     }
 
 
 def run_sweep_rho(config: ExperimentConfig):
     """One weak-value row per rho; the closed form must move affinely."""
     rows = [ResultRow(scenario="sweep-rho", rho=rho,
-                      **_weak_value_fields(eps_sweep(config.setup(rho),
-                                                     config.schedule))[0])
+                      **_weak_value_fields(weak_value_report(
+                          eps_sweep(config.setup(rho), config.schedule))))
             for rho in sorted(config.rho_values)]
     # None when the weak value is undefined; then no row has wv_closed
     aav_imag = rows[0].wv_aav_im
@@ -524,8 +517,11 @@ def run_limit_check(config: ExperimentConfig):
                   wv_numeric=r, wv_closed=target)
         for e, r in zip(eps_values, sweep.readings)
     ]
+    # the per-eps rows are finite-eps readings; the limit is the claim
     rows.append(ResultRow(scenario="limit-check", rho=config.meter.rho,
-                          wv_numeric=limit, wv_closed=target))
+                          wv_numeric=limit, wv_closed=target,
+                          status=_status(LIMIT_RTOL * max(1.0, abs(target)),
+                                         (limit, target))))
     errs = [abs(r - target) for r in sweep.readings]
     orders = [math.log(d1 / d2) / math.log(e1 / e2)
               for e1, e2, d1, d2 in zip(eps_values, eps_values[1:],
@@ -592,8 +588,9 @@ def run_aav_grid(config: ExperimentConfig):
     rho = config.meter.rho
     meter = gaussian_grid_meter(config.grid, rho)
     setup = WeakSetup(config.A, config.s, config.f, meter)
-    fields, mom = _weak_value_fields(eps_sweep(setup, config.schedule))
-    row = ResultRow(scenario="aav-grid", rho=rho, **fields)
+    report = weak_value_report(eps_sweep(setup, config.schedule))
+    row = ResultRow(scenario="aav-grid", rho=rho, **_weak_value_fields(report))
+    mom = report.coupling_moment
     m = meter.m.amps
     read = complex(np.vdot(m, meter.apply_B(m)))      # B = Q
     conj_chirp = chirped_gaussian_state(config.grid, -rho).amps
@@ -629,7 +626,7 @@ def run_compare(config: ExperimentConfig):
     setup = config.setup()
     sweep = eps_sweep(setup, config.schedule)
     # both limits first, so a schedule they cannot use draws no trial
-    fields = _weak_value_fields(sweep)[0]
+    fields = _weak_value_fields(weak_value_report(sweep))
     uncond = unconditional_limit(sweep)
     eps = config.eps_values[0]
     run, proj_run = monte_carlo_pair(setup, eps, config.mc.n_trials,

@@ -144,8 +144,8 @@ def _group_starts(eigenvalues: np.ndarray) -> np.ndarray:
     starts = [0]
     for i in range(1, eigenvalues.size):
         # anchor at the group's first eigenvalue so roundoff cannot chain
-        # distinct eigenvalues into one group
-        if eigenvalues[i] - eigenvalues[starts[-1]] > tol:
+        # distinct eigenvalues into one group; a difference could overflow
+        if eigenvalues[i] > eigenvalues[starts[-1]] + tol:
             starts.append(i)
     return np.array(starts)
 

@@ -242,8 +242,10 @@ def monte_carlo_run(setup: WeakSetup, eps: float, n_trials: int, seed: int,
 
     ``trial_offset`` names the first trial, so shards of one logical run
     reproduce the serial result exactly when their counts are merged.
+    Raises EmptyPostselectionError, before any trial is drawn, when the
+    postselection is empty.
     """
-    run, = _sample([_branch_tables(setup, eps)], n_trials, seed,
+    run, = _sample([exact_outcome_distribution(setup, eps)], n_trials, seed,
                    trial_offset)
     return run
 

@@ -39,6 +39,7 @@ from .hilbert import (
 # Numerical contracts, shared by the test suite.
 CAL_READ_TOL = 1e-10      # |<m, Bm>|: the meter must initially read zero
 WV_RTOL = 1e-4            # a weak value: within 1e-4 max(1, |closed form|)
+LIMIT_RTOL = 1e-6         # an eps -> 0 limit: within 1e-6 max(1, |<s, As>|)
 CAL_GAIN_TOL = 1e-8       # |2 Im<m, BGm> - 1|: unit gain
 EMPTY_PROB = 1e-20        # postselection probability below this is empty
 
@@ -190,15 +191,17 @@ class WeakValueReport:
 
     ``numeric`` carries the extrapolated protocol simulation with its
     ``numeric_error`` estimate; the remaining fields are closed-form.
+    When |<f, s>|^2 is below EMPTY_PROB the weak value is undefined and
+    the five weak-value fields, ``numeric`` to ``aav_complex``, are None.
     ``projective_conditional`` is None when a projective A measurement
     passes the postselection with numerically zero probability.
     """
 
-    numeric: float
-    numeric_error: float
-    closed_form: float
-    traditional: float
-    aav_complex: complex
+    numeric: float | None
+    numeric_error: float | None
+    closed_form: float | None
+    traditional: float | None
+    aav_complex: complex | None
     projective_conditional: float | None
     coupling_moment: complex
 
@@ -439,16 +442,6 @@ def projective_conditional_expectation(a: Observable, s: StateVector,
     return projective_tables(a, s, f).conditional_mean
 
 
-def projective_conditional_or_none(a: Observable, s: StateVector,
-                                   f: StateVector):
-    """The projective conditional expectation, or None when the
-    postselection is numerically empty."""
-    try:
-        return projective_conditional_expectation(a, s, f)
-    except EmptyPostselectionError:
-        return None
-
-
 def disturbance(sweep: EpsSweep) -> list:
     """How far one full meter readout kicks the system away from s, at
     each eps of the sweep.
@@ -468,18 +461,23 @@ def disturbance(sweep: EpsSweep) -> list:
 
 
 def weak_value_report(sweep: EpsSweep) -> WeakValueReport:
-    """Every weak-value notion of the sweep's setup, side by side."""
+    """Every weak-value notion of the sweep's setup, side by side; an
+    undefined weak value leaves its five fields None instead of raising."""
     setup = sweep.setup
-    ex = weak_value_extrapolation(sweep)
-    ratio = aav_complex_weak_value(setup.A, setup.s, setup.f)
+    try:
+        ex = weak_value_extrapolation(sweep)
+    except UndefinedWeakValueError:
+        ex = None
+    try:
+        projective = projective_conditional_expectation(setup.A, setup.s,
+                                                        setup.f)
+    except EmptyPostselectionError:
+        projective = None
     mom = coupling_moment(setup.meter)
-    return WeakValueReport(
-        numeric=ex.limit,
-        numeric_error=ex.error_estimate,
-        closed_form=_closed_form(ratio, mom),
-        traditional=ratio.real,
-        aav_complex=ratio,
-        projective_conditional=projective_conditional_or_none(
-            setup.A, setup.s, setup.f),
-        coupling_moment=mom,
-    )
+    if ex is None:
+        weak = (None,) * 5
+    else:
+        ratio = aav_complex_weak_value(setup.A, setup.s, setup.f)
+        weak = (ex.limit, ex.error_estimate, _closed_form(ratio, mom),
+                ratio.real, ratio)
+    return WeakValueReport(*weak, projective, mom)

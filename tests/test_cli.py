@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dataclasses import asdict, replace
@@ -21,6 +21,7 @@ from weakmeas import cli
 from weakmeas.hilbert import DimensionMismatchError, Observable, StateVector
 from weakmeas.meters import GridSpec, qubit_meter
 from weakmeas.protocol import (
+    WV_RTOL,
     EpsSchedule,
     UndefinedWeakValueError,
     WeakSetup,
@@ -661,14 +662,14 @@ class TestCompareScenario:
 
     @pytest.mark.parametrize("scenario, orthogonal, n_calls", [
         ("weak-value", False, 2), ("aav-grid", False, 2),
-        # no weak-value report to read the moment from: computed afresh
+        # an undefined weak value's report carries the moment too
         ("weak-value", True, 2)])
     def test_coupling_moment_read_off_the_report(self, scenario, orthogonal,
                                                   n_calls, monkeypatch):
         # one call calibrates the meter and one is the report's; the
         # summaries reuse the report's moment, and aav-grid reads the
         # qubit meter's closed form off its row without building one
-        from weakmeas import cli, protocol
+        from weakmeas import protocol
         calls = []
         real = protocol.coupling_moment
 
@@ -677,7 +678,6 @@ class TestCompareScenario:
             return real(meter)
 
         monkeypatch.setattr(protocol, "coupling_moment", counting)
-        monkeypatch.setattr(cli, "coupling_moment", counting)
         cfg = replace(preset("aav100"), scenario=scenario)
         if orthogonal:
             cfg = replace(cfg, s_amps=((1.0, 0.0), (0.0, 0.0)),
@@ -1214,3 +1214,67 @@ class TestUnconvergedStatus:
         (record,) = row_dicts(capsys.readouterr().out)
         assert record["status"] == STATUS_UNCONVERGED
         assert record["wv_numeric"] != ""
+
+
+class TestHeadlineClaims:
+    """The paper's two headline claims, as properties of the runner."""
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(weak_value_configs(("qubit",), (-1.0, 0.0)),
+           st.floats(-1e3, 1e3))
+    def test_any_weak_value_from_a_two_level_meter(self, cfg, w):
+        # the closed form Re(ratio) + 2 rho Im(ratio) reaches any w at
+        # rho* = (w - Re ratio) / (2 Im ratio)
+        ratio = aav_complex_weak_value(cfg.A, cfg.s, cfg.f)
+        assume(abs(ratio.imag) >= 0.1)
+        rho = (w - ratio.real) / (2.0 * ratio.imag)
+        cfg = replace(cfg, meter=MeterConfig(kind="qubit", rho=rho))
+        (row,), _ = run_scenario(cfg)
+        scale = max(1.0, abs(w))
+        assert abs(row.wv_closed - w) <= 1e-9 * scale
+        assert (row.status != STATUS_OK
+                or abs(row.wv_numeric - w) <= WV_RTOL * scale)
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(weak_value_configs(("grid",), (-1.0, 0.0)))
+    def test_grid_and_qubit_meters_agree(self, cfg):
+        # the default grid's closed form against the qubit meter's
+        qubit = weak_value_closed_form(WeakSetup(
+            cfg.A, cfg.s, cfg.f, qubit_meter(cfg.meter.rho)))
+        grid = weak_value_closed_form(cfg.setup())
+        assert abs(grid - qubit) <= 1e-6 * max(1.0, abs(qubit))
+
+
+# every off-diagonal entry 8e307: A is finite, its spectrum spans more
+# than the float range, and <s, As> = 0
+WIDE_SPECTRUM = {
+    "system": {"A": [[0, 8e307, 8e307], [8e307, 0, 8e307],
+                     [8e307, 8e307, 0]],
+               "s": [1, 0, [0, 1]], "f": [1, 1, 0]},
+    "mc": {"n_trials": 1000, "seed": 1}}
+
+
+class TestWideSpectrum:
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(WIDE_SPECTRUM))
+        return str(path)
+
+    @pytest.mark.parametrize("scenario", ["weak-value", "limit-check",
+                                          "sample", "disturbance"])
+    def test_runs_without_a_warning(self, path, scenario, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([scenario, "--config", path]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_limit_check_flags_a_missed_limit(self, path, capsys):
+        assert main(["limit-check", "--config", path]) == 0
+        rows = row_dicts(capsys.readouterr().out)
+        # the per-eps rows are finite-eps readings, not claims of the limit
+        assert [r["status"] for r in rows[:-1]] == [STATUS_OK] * 5
+        assert rows[-1]["wv_closed"] == "0.0"
+        assert rows[-1]["status"] == STATUS_UNCONVERGED

@@ -207,11 +207,25 @@ class TestMonteCarlo:
         assert not math.isnan(est.mean)
 
     def test_zero_successes_yield_empty_estimate(self):
-        setup = WeakSetup(Observable(SZ), E1, E2, qubit_meter(0.0))
+        # success probability about 1e-12: not empty, but no trial passes
+        setup = WeakSetup(Observable(SZ), E1, StateVector([1e-6, 1.0]),
+                          qubit_meter(0.0))
         est = monte_carlo_run(setup, 1e-2, 1000, seed=88).estimate
         assert est.n_success == 0
         assert math.isnan(est.mean)
         assert math.isnan(est.std_error)
+
+    def test_empty_postselection_raises_before_drawing(self, monkeypatch):
+        import weakmeas.oracle as oracle
+
+        def no_draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(oracle, "_philox_generator", no_draw)
+        setup = WeakSetup(Observable(SZ), E1, E2, qubit_meter(0.0))
+        with pytest.raises(EmptyPostselectionError,
+                           match="total success probability"):
+            monte_carlo_run(setup, 1e-2, 1000, seed=88)
 
     def test_error_shrinks_with_sample_size(self):
         setup = canonical_setup(0.0)

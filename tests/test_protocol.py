@@ -616,6 +616,32 @@ class TestWeakValueReport:
         weak_value_report(record)
         assert sorted(calls) == ["aav_complex_weak_value", "coupling_moment"]
 
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("a, f", [
+        # sx, e1 -> e2: the weak value is undefined, the projective
+        # conditional is not
+        (SX, [0, 1]),
+        # |<f, s>|^2 ~ 1e-22, below the floor: both are undefined
+        (SZ, [1e-11, 1.0])])
+    def test_undefined_weak_value_is_reported(self, a, f, grid):
+        meter = (gaussian_grid_meter(GridSpec(256, 12.0), 3.0) if grid
+                 else qubit_meter(3.0))
+        setup = WeakSetup(Observable(a), E1, StateVector(f), meter)
+        rep = weak_value_report(eps_sweep(setup))
+        assert (rep.numeric, rep.numeric_error, rep.closed_form,
+                rep.traditional, rep.aav_complex) == (None,) * 5
+        try:
+            want = projective_conditional_expectation(setup.A, setup.s,
+                                                      setup.f)
+        except EmptyPostselectionError:
+            want = None
+        assert rep.projective_conditional == want
+        assert rep.coupling_moment == coupling_moment(meter)
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(ValueError, match="at least two eps values"):
+            weak_value_report(sweep(canonical_setup(1.0), 1e-2))
+
 
 class TestEpsSweep:
     """The record against the single-eps formulas in tests/reference.py,
