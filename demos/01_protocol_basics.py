@@ -27,7 +27,7 @@ def main():
     mom = coupling_moment(meter)
     print("qubit meter at rho = 0.7")
     print(f"  initial reading <m, Bm>      = "
-          f"{np.vdot(meter.m.amps, meter.B.entries @ meter.m.amps).real:+.3e}")
+          f"{np.vdot(meter.m.amps, meter.apply_B(meter.m.amps)).real:+.3e}")
     print(f"  coupling moment <m, BGm>     = {mom.real:+.6f} {mom.imag:+.6f}i")
     print(f"  gain 2 Im<m, BGm>            = {2 * mom.imag:.6f}")
 

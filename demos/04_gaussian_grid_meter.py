@@ -19,8 +19,6 @@ from weakmeas import (
     coupling_moment,
     eps_sweep,
     gaussian_grid_meter,
-    momentum_operator,
-    position_operator,
     qubit_meter,
     weak_value_closed_form,
     weak_value_extrapolation,
@@ -36,15 +34,13 @@ def main():
 
     print(f"{'rho':>6}  {'|<m,Bm>|':>10}  {'moment error':>13}  "
           f"{'chirp residual':>15}")
-    q = position_operator(grid).entries
-    p = momentum_operator(grid).entries
     for rho in (0.0, 1.0, 3.0):
         meter = gaussian_grid_meter(grid, rho)
         m = meter.m.amps
-        read = abs(np.vdot(m, meter.B.entries @ m))
+        read = abs(np.vdot(m, meter.apply_B(m)))
         mom = coupling_moment(meter)
         conj = chirped_gaussian_state(grid, -rho).amps
-        chirp_mom = np.vdot(conj, q @ (p @ conj))
+        chirp_mom = np.vdot(conj, meter.apply_B(meter.apply_P(conj)))
         print(f"{rho:>6.1f}  {read:>10.2e}  "
               f"{abs(mom - (rho + 0.5j)):>13.2e}  "
               f"{abs(chirp_mom - mom):>15.2e}")

@@ -17,8 +17,6 @@ from .meters import (
     GridSpec,
     chirped_gaussian_state,
     gaussian_grid_meter,
-    momentum_operator,
-    position_operator,
     qubit_meter,
 )
 from .oracle import (
@@ -73,10 +71,8 @@ __all__ = [
     "exact_outcome_distribution",
     "expectation",
     "gaussian_grid_meter",
-    "momentum_operator",
     "monte_carlo_pair",
     "monte_carlo_run",
-    "position_operator",
     "projective_A_oracle",
     "projective_conditional_expectation",
     "qubit_meter",

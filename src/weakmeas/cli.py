@@ -473,9 +473,8 @@ def run_weak_value(config: ExperimentConfig):
     row = ResultRow(scenario="weak-value", rho=config.meter.rho,
                     **_weak_value_fields(report))
     return [row], {
-        "closed_minus_numeric": None
-        if row.wv_numeric is None or row.wv_closed is None
-        else row.wv_closed - row.wv_numeric,
+        "closed_minus_numeric": None if report.numeric is None
+        else report.closed_form - report.numeric,
         "rho_effective": report.coupling_moment.real,
     }
 
@@ -566,12 +565,10 @@ def run_sample(config: ExperimentConfig):
 def run_disturbance(config: ExperimentConfig):
     """How hard the readout kicks the system, across the eps schedule."""
     sweep = eps_sweep(config.setup(), config.schedule)
-    rows = [
-        ResultRow(scenario="disturbance", rho=config.meter.rho, eps=e,
-                  disturbance=d)
-        for e, d in zip(sweep.eps_values, disturbance(sweep))
-    ]
-    slopes = [r.disturbance / r.eps for r in rows]
+    kicks = list(zip(sweep.eps_values, disturbance(sweep)))
+    rows = [ResultRow(scenario="disturbance", rho=config.meter.rho, eps=e,
+                      disturbance=d) for e, d in kicks]
+    slopes = [d / e for e, d in kicks]
     ratios = [b / a for a, b in zip(slopes, slopes[1:]) if a > 0]
     return rows, {
         "slopes": slopes,
@@ -596,19 +593,17 @@ def run_aav_grid(config: ExperimentConfig):
     conj_chirp = chirped_gaussian_state(config.grid, -rho).amps
     chirp_mom = complex(np.vdot(conj_chirp,
                                 meter.apply_B(meter.apply_P(conj_chirp))))
-    ratio = (row.wv_aav_re, row.wv_aav_im)
     # qubit_meter(rho)'s <m,BGm> to the bit: it sums rho with a zero
-    qubit_closed = (None if None in ratio else
-                    _closed_form(complex(*ratio), complex(rho + 0.0, 0.5)))
+    qubit_closed = (None if report.aav_complex is None else
+                    _closed_form(report.aav_complex, complex(rho + 0.0, 0.5)))
     return [row], {
         "initial_reading_abs": abs(read),
         "coupling_moment": [mom.real, mom.imag],
         "coupling_moment_error": abs(mom - complex(rho, 0.5)),
         "chirp_equivalence_residual": abs(chirp_mom - mom),
         "qubit_meter_closed_form": qubit_closed,
-        "grid_minus_qubit_closed_form": None
-        if qubit_closed is None or row.wv_closed is None
-        else row.wv_closed - qubit_closed,
+        "grid_minus_qubit_closed_form": None if qubit_closed is None
+        else report.closed_form - qubit_closed,
     }
 
 

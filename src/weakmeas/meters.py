@@ -189,8 +189,14 @@ class GridMeter:
         """exp(-itG) v along the last axis of v; an array t broadcasts
         against v's leading axes, one time per row."""
         t = np.asarray(t, dtype=float)
+        # t^2 overflows before t k does, so a finite chirp clears both
+        with np.errstate(over="ignore", invalid="ignore"):
+            chirp = t * (0.5 * t - self._q) * self.rho
+        if not np.isfinite(chirp).all():
+            raise ValueError("grid meter phases overflow float64: eps |A| "
+                             "is far outside the weak regime")
         kicked = np.fft.ifft(np.exp(-1j * t * self._k) * np.fft.fft(v))
-        return np.exp(1j * t * (0.5 * t - self._q) * self.rho) * kicked
+        return np.exp(1j * chirp) * kicked
 
     def couple(self, a: Observable, s: StateVector, eps: float) -> np.ndarray:
         # sum_j P_j s (x) exp(-i eps alpha_j G) m: one evolved meter row

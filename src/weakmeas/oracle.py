@@ -72,8 +72,10 @@ class EstimateWithError:
         sqrt(M2 / (n - 1)) / sqrt(n). Shards whose counts add up to a run's
         therefore give its estimate bit for bit."""
         n = int(successes.sum())
-        mean = float((values * successes).sum() / n) if n else math.nan
-        m2 = float((successes * (values - mean) ** 2).sum())
+        # values near the float limit overflow to inf or NaN: empty cells
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float((values * successes).sum() / n) if n else math.nan
+            m2 = float((successes * (values - mean) ** 2).sum())
         err = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
         return cls(mean, err, n, n_trials, seed)
 

@@ -97,8 +97,7 @@ class MeterSpec:
     def apply_B(self, x: np.ndarray) -> np.ndarray:
         """B along the last axis of x: a meter vector, or a coupled
         state's (dim_S, dim_M) array."""
-        b = self.B.entries
-        return b @ x if x.ndim == 1 else x @ b.T
+        return x @ self.B.entries.T
 
     def apply_G(self, x: np.ndarray) -> np.ndarray:
         """G applied to a meter vector."""

@@ -476,6 +476,17 @@ class TestDisturbanceScenario:
         for ratio in summary["successive_slope_ratios"]:
             assert 0.3 <= ratio <= 3.0
 
+    def test_nan_kick_leaves_an_empty_cell(self, monkeypatch):
+        # the summary divides the kicks, not the cells a NaN empties
+        real = cli.disturbance
+        monkeypatch.setattr(cli, "disturbance",
+                            lambda sweep: [math.nan, *real(sweep)[1:]])
+        rows, summary = run_scenario(generic_config(scenario="disturbance"))
+        assert rows[0].disturbance is None
+        assert None not in [r.disturbance for r in rows[1:]]
+        assert summary["slopes"][0] is None
+        assert None not in summary["slopes"][1:]
+
 
 class TestAavGridScenario:
     def test_grid_row_matches_qubit_closed_form(self):
@@ -1278,3 +1289,48 @@ class TestWideSpectrum:
         assert [r["status"] for r in rows[:-1]] == [STATUS_OK] * 5
         assert rows[-1]["wv_closed"] == "0.0"
         assert rows[-1]["status"] == STATUS_UNCONVERGED
+
+
+# couplings whose eps |A| is far outside the weak regime: 1e300 sigma_x,
+# and an A whose closed form overflows
+OUT_OF_REGIME = {
+    "sigma-x-1e300": ({"A": [[0, 1e300], [1e300, 0]], "s": [1, [0, 1]],
+                       "f": [1, 0]}, 1.0),
+    "8e307": ({"A": [[8e307, 8e307], [8e307, 8e307]], "s": [1, [0, 1]],
+               "f": [1, 0]}, 2.0),
+}
+
+
+def out_of_regime_path(tmp_path, system, kind):
+    a_system, rho = OUT_OF_REGIME[system]
+    path = tmp_path / f"{system}-{kind}.json"
+    path.write_text(json.dumps({
+        "system": a_system, "meter": {"kind": kind, "rho": rho},
+        "rho_values": [rho, rho + 1.0], "mc": {"n_trials": 2000, "seed": 1}}))
+    return str(path)
+
+
+class TestOutOfRegimeCoupling:
+    @pytest.mark.parametrize("system", OUT_OF_REGIME)
+    @pytest.mark.parametrize("kind, scenario", [
+        *(("grid", sc) for sc in SCENARIOS), ("qubit", "aav-grid")])
+    def test_grid_meter_refuses_overflowing_phases(self, tmp_path, capsys,
+                                                   system, kind, scenario):
+        path = out_of_regime_path(tmp_path, system, kind)
+        assert main([scenario, "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("system", OUT_OF_REGIME)
+    def test_qubit_compare_runs_without_a_warning(self, tmp_path, capsys,
+                                                  system, fmt):
+        # the sampled estimates of values near the float limit overflow
+        # to empty cells, silently
+        path = out_of_regime_path(tmp_path, system, "qubit")
+        assert main(["compare", "--config", path, "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out

@@ -194,6 +194,14 @@ class TestGaussianGridMeter:
             with pytest.raises(CalibrationError, match="not finite"):
                 gaussian_grid_meter(GridSpec.default(), rho)
 
+    @pytest.mark.parametrize("rho", [0.0, 2.0])
+    @pytest.mark.parametrize("t", [1e155, -1e300, 1.6e307])
+    def test_evolve_refuses_overflowing_phases(self, rho, t):
+        # t^2 overflows, and at rho = 0 the chirp inf * 0 is NaN
+        meter = gaussian_grid_meter(GridSpec(256, 12.0), rho)
+        with pytest.raises(ValueError, match="overflow"):
+            meter.evolve(np.array([[0.0], [t]]), meter.m.amps)
+
 
 def random_state(rng, dim):
     return StateVector(rng.normal(size=dim) + 1j * rng.normal(size=dim))

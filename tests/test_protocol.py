@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weakmeas.hilbert import (
     DimensionMismatchError,
@@ -12,9 +14,11 @@ from weakmeas.hilbert import (
     trace_distance,
 )
 from weakmeas.meters import GridSpec, gaussian_grid_meter, qubit_meter
+from weakmeas.oracle import projective_A_oracle
 from weakmeas.protocol import (
     DEFAULT_EPS,
     EMPTY_PROB,
+    LIMIT_RTOL,
     CalibrationError,
     EmptyPostselectionError,
     EpsSchedule,
@@ -702,3 +706,62 @@ class TestEpsSweep:
             assert all(p < 1e-20 for p in record.probabilities)
             assert unconditional_limit(record) == pytest.approx(1.0,
                                                                 abs=1e-6)
+
+
+@st.composite
+def random_setups(draw, kinds=("qubit", "grid")):
+    """A random Hermitian A (dimension 2-8 on the qubit meter, 2 on the
+    default grid), random s and f, and rho in [-50, 50]."""
+    kind = draw(st.sampled_from(kinds))
+    dim = 2 if kind == "grid" else draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rho = draw(st.floats(-50.0, 50.0))
+    meter = (gaussian_grid_meter(GridSpec.default(), rho) if kind == "grid"
+             else qubit_meter(rho))
+    return WeakSetup(random_hermitian(rng, dim), random_state(rng, dim),
+                     random_state(rng, dim), meter)
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=100)
+
+
+class TestPaperClaims:
+    """The abstract's quantified claims, on random inputs and both
+    meters."""
+
+    @PROPERTY
+    @given(random_setups(), st.sampled_from([1.0, 0.5, 2.0, -1.0]))
+    def test_unconditional_limit_is_meter_independent(self, setup, c):
+        target = expectation(setup.A, setup.s)
+        if isinstance(setup.meter, MeterSpec):
+            # a qubit meter whose readout is scaled by c has gain c
+            m = setup.meter
+            setup = replace(setup, meter=MeterSpec(
+                m.m, Observable(c * m.B.entries), m.G))
+            target *= c
+        limit = unconditional_limit(eps_sweep(setup))
+        assert abs(limit - target) <= LIMIT_RTOL * max(1.0, abs(target))
+
+    @PROPERTY
+    @given(random_setups())
+    def test_disturbance_falls_off_quadratically(self, setup):
+        kicks = disturbance(sweep(setup, 1e-3, 5e-4, 2.5e-4))
+        assume(kicks[0] > 1e-12)
+        for d, half in zip(kicks, kicks[1:]):
+            assert 0.2 <= half / d <= 0.3
+
+    @PROPERTY
+    @given(random_setups(("qubit",)), st.integers(0, 2 ** 63 - 1))
+    def test_projective_conditional_is_convex(self, setup, seed):
+        a, s, f = setup.A, setup.s, setup.f
+        spectrum = eig_hermitian(a).eigenvalues
+        try:
+            value = projective_conditional_expectation(a, s, f)
+        except EmptyPostselectionError:
+            return
+        slack = 1e-10 * max(1.0, np.abs(spectrum).max())
+        assert spectrum[0] - slack <= value <= spectrum[-1] + slack
+        est = projective_A_oracle(a, s, f, 20_000, seed)
+        if est.n_success >= 2 and est.std_error > 0:
+            assert abs(est.mean - value) <= 5.0 * est.std_error
