@@ -420,19 +420,20 @@ CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 _FLOAT_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.type == "float")
 
 
-def _status(tol: float, *checks) -> str:
-    """A row's status from its (value, reference) checks: ok when ``tol``
-    is finite and every value is within it of its reference. A NaN is not
-    within, and an infinite reference leaves nothing to check against."""
-    if tol < math.inf and all(abs(value - ref) <= tol
-                              for value, ref in checks):
+def _status(value: float, ref: float, rtol: float) -> str:
+    """A row's status: ok exactly when ``value`` is within
+    ``rtol`` max(1, |ref|) of ``ref`` and that tolerance is finite. A NaN
+    is not within, and an infinite reference leaves nothing to check
+    against."""
+    tol = rtol * max(1.0, abs(ref))
+    if tol < math.inf and abs(value - ref) <= tol:
         return STATUS_OK
     return STATUS_UNCONVERGED
 
 
 def _weak_value_fields(report: WeakValueReport) -> dict:
     """The weak-value column family of a report; an undefined weak value
-    leaves its columns empty. Value and error estimate must be within
+    leaves its columns empty. The value must be within
     WV_RTOL max(1, |closed form|)."""
     if report.aav_complex is None:
         return {"projective_cond": report.projective_conditional,
@@ -444,9 +445,7 @@ def _weak_value_fields(report: WeakValueReport) -> dict:
         "wv_aav_re": report.aav_complex.real,
         "wv_aav_im": report.aav_complex.imag,
         "projective_cond": report.projective_conditional,
-        "status": _status(WV_RTOL * max(1.0, abs(report.closed_form)),
-                          (report.numeric, report.closed_form),
-                          (report.numeric_error, 0.0)),
+        "status": _status(report.numeric, report.closed_form, WV_RTOL),
     }
 
 
@@ -497,10 +496,12 @@ def run_sweep_rho(config: ExperimentConfig):
         x, y = np.array(pairs).T
         ex, ey = np.frexp(np.abs(pairs).max(axis=0))[1]
         slope, intercept = np.polyfit(np.ldexp(x, -ex), np.ldexp(y, -ey), 1)
-        slope, intercept = np.ldexp(slope, ey - ex), np.ldexp(intercept, ey)
-        summary.update(fitted_slope=float(slope),
-                       fitted_intercept=float(intercept),
-                       slope_residual=float(slope - 2.0 * aav_imag))
+        # undoing the scaling may overflow; the summary then reads null
+        with np.errstate(over="ignore"):
+            slope = float(np.ldexp(slope, ey - ex))
+            intercept = float(np.ldexp(intercept, ey))
+        summary.update(fitted_slope=slope, fitted_intercept=intercept,
+                       slope_residual=slope - 2.0 * aav_imag)
     return rows, summary
 
 
@@ -519,8 +520,7 @@ def run_limit_check(config: ExperimentConfig):
     # the per-eps rows are finite-eps readings; the limit is the claim
     rows.append(ResultRow(scenario="limit-check", rho=config.meter.rho,
                           wv_numeric=limit, wv_closed=target,
-                          status=_status(LIMIT_RTOL * max(1.0, abs(target)),
-                                         (limit, target))))
+                          status=_status(limit, target, LIMIT_RTOL)))
     errs = [abs(r - target) for r in sweep.readings]
     orders = [math.log(d1 / d2) / math.log(e1 / e2)
               for e1, e2, d1, d2 in zip(eps_values, eps_values[1:],

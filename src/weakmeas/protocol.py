@@ -176,7 +176,6 @@ class ExtrapolationResult:
 
     ``error_estimate`` is the difference of the last two extrapolants;
     ``converged`` is False when that difference grew instead of shrinking.
-    A report row's status reads ``error_estimate``, not ``converged``.
     """
 
     limit: float
@@ -188,16 +187,15 @@ class ExtrapolationResult:
 class WeakValueReport:
     """All weak-value readings of one setup, side by side.
 
-    ``numeric`` carries the extrapolated protocol simulation with its
-    ``numeric_error`` estimate; the remaining fields are closed-form.
-    When |<f, s>|^2 is below EMPTY_PROB the weak value is undefined and
-    the five weak-value fields, ``numeric`` to ``aav_complex``, are None.
+    ``numeric`` carries the extrapolated protocol simulation; the
+    remaining fields are closed-form. When |<f, s>|^2 is below EMPTY_PROB
+    the weak value is undefined and the four weak-value fields,
+    ``numeric`` to ``aav_complex``, are None.
     ``projective_conditional`` is None when a projective A measurement
     passes the postselection with numerically zero probability.
     """
 
     numeric: float | None
-    numeric_error: float | None
     closed_form: float | None
     traditional: float | None
     aav_complex: complex | None
@@ -461,22 +459,18 @@ def disturbance(sweep: EpsSweep) -> list:
 
 def weak_value_report(sweep: EpsSweep) -> WeakValueReport:
     """Every weak-value notion of the sweep's setup, side by side; an
-    undefined weak value leaves its five fields None instead of raising."""
+    undefined weak value leaves its four fields None instead of raising."""
     setup = sweep.setup
-    try:
-        ex = weak_value_extrapolation(sweep)
-    except UndefinedWeakValueError:
-        ex = None
     try:
         projective = projective_conditional_expectation(setup.A, setup.s,
                                                         setup.f)
     except EmptyPostselectionError:
         projective = None
     mom = coupling_moment(setup.meter)
-    if ex is None:
-        weak = (None,) * 5
-    else:
+    try:
         ratio = aav_complex_weak_value(setup.A, setup.s, setup.f)
-        weak = (ex.limit, ex.error_estimate, _closed_form(ratio, mom),
-                ratio.real, ratio)
-    return WeakValueReport(*weak, projective, mom)
+    except UndefinedWeakValueError:
+        return WeakValueReport(None, None, None, None, projective, mom)
+    return WeakValueReport(weak_value_extrapolation(sweep).limit,
+                           _closed_form(ratio, mom), ratio.real, ratio,
+                           projective, mom)

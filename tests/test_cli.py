@@ -412,6 +412,25 @@ class TestSweepRhoScenario:
         assert summary["fitted_slope"] == pytest.approx(2.0, rel=1e-12)
         assert abs(summary["slope_residual"]) <= 1e-12
 
+    def test_fit_that_overflows_reads_null(self, tmp_path, capsys):
+        # a closed form near the float limit over rho values near zero:
+        # the fitted slope overflows when its scaling is undone
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps({
+            "scenario": "sweep-rho",
+            "system": {"A": [[3.7e307, 0], [0, -1e300]], "s": [1, [0, 1]],
+                       "f": [1, 0.5]},
+            "rho_values": [3.3e-161, -1e-300]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep-rho", "--config", str(path),
+                         "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        summary = json.loads(out)["summary"]
+        assert summary["fitted_slope"] is None
+        assert summary["slope_residual"] is None
+
     def test_one_distinct_rho_fits_no_line(self):
         cfg = generic_config(scenario="sweep-rho", rho_values=(5.0, 5.0, 5.0))
         with warnings.catch_warnings():
@@ -1184,28 +1203,28 @@ def weak_value_configs(draw, kinds, log_overlap):
 
 
 class TestUnconvergedStatus:
-    """A weak-value row matches its closed form within 1e-4 max(1, |closed
-    form|), or its status is not ok."""
+    """A weak-value row reads ok exactly when it matches its closed form
+    within 1e-4 max(1, |closed form|)."""
 
     @staticmethod
-    def assert_close_or_flagged(cfg):
+    def assert_ok_exactly_when_close(cfg):
         (row,), _ = run_scenario(cfg)
-        if row.status == STATUS_OK:
-            tol = 1e-4 * max(1.0, abs(row.wv_closed))
-            assert abs(row.wv_numeric - row.wv_closed) <= tol
+        tol = 1e-4 * max(1.0, abs(row.wv_closed))
+        close = abs(row.wv_numeric - row.wv_closed) <= tol
+        assert (row.status == STATUS_OK) == close
 
     @settings(derandomize=True, database=None, max_examples=100,
               deadline=None)
     @given(weak_value_configs(("qubit", "grid"), (-1.0, 0.0)))
     def test_both_meters_at_overlap_above_a_tenth(self, cfg):
-        self.assert_close_or_flagged(cfg)
+        self.assert_ok_exactly_when_close(cfg)
 
     @settings(derandomize=True, database=None, max_examples=150,
               deadline=None)
     @given(weak_value_configs(("qubit",), (-6.0, 0.0)))
     def test_qubit_meter_down_to_overlap_1e_6(self, cfg):
         # the default schedule misses by a relative 0.27 at |<f,s>| = 1e-3
-        self.assert_close_or_flagged(cfg)
+        self.assert_ok_exactly_when_close(cfg)
 
     @pytest.mark.parametrize("a, rho", [
         # the nonunique-rho50 states far outside the weak regime: 1627.5
@@ -1322,6 +1341,24 @@ class TestOutOfRegimeCoupling:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflow" in err
+
+    @pytest.mark.parametrize("kind, scenario", [
+        *(("grid", sc) for sc in SCENARIOS), ("qubit", "aav-grid")])
+    def test_grid_meter_refuses_rho_near_the_float_limit(
+            self, tmp_path, capsys, kind, scenario):
+        # rho q overflows in the calibration, which reads a NaN gain
+        path = tmp_path / "huge-rho.json"
+        path.write_text(json.dumps({
+            "system": {"A": [[1e8]], "s": [[1e3, 1e8]], "f": [[1e3, 1e8]]},
+            "meter": {"kind": kind, "rho": -1.33e308, "n_points": 128},
+            "rho_values": [-1.33e308]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([scenario, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "failed calibration" in err
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("system", OUT_OF_REGIME)
