@@ -31,7 +31,6 @@ from .meters import (
     DEFAULT_HALF_WIDTH,
     DEFAULT_N_POINTS,
     GridSpec,
-    chirped_gaussian_state,
     gaussian_grid_meter,
     qubit_meter,
 )
@@ -233,7 +232,6 @@ class ExperimentConfig:
     rho_values: tuple = ()
     mc: MonteCarloConfig = MonteCarloConfig()
     output: OutputConfig = OutputConfig()
-    schema_version: int = SCHEMA_VERSION
     A: Observable = field(init=False, repr=False, compare=False)
     s: StateVector = field(init=False, repr=False, compare=False)
     f: StateVector = field(init=False, repr=False, compare=False)
@@ -241,13 +239,6 @@ class ExperimentConfig:
     grid: GridSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _store(self, schema_version=_number(self.schema_version,
-                                            "schema_version", int))
-        if self.schema_version != SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported schema_version {self.schema_version!r}; "
-                f"this build reads version {SCHEMA_VERSION}"
-            )
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"choose one of {', '.join(SCENARIOS)}")
@@ -291,7 +282,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "scenario": self.scenario,
             "system": {"A": [[list(z) for z in row] for row in self.a_entries],
                        "s": [list(z) for z in self.s_amps],
@@ -314,14 +305,19 @@ class ExperimentConfig:
                       s_amps=system["s"], f_amps=system["f"])
         except KeyError as exc:
             raise ConfigError(f"config is missing required key {exc}") from exc
-        kw.update({k: data[k] for k in ("schema_version", "rho_values")
-                   if k in data})
+        if "rho_values" in data:
+            kw["rho_values"] = data["rho_values"]
         if "eps_schedule" in data:
             kw["eps_values"] = data["eps_schedule"]
         # a section key must name a field; an absent one takes its default
         for key, section in _SECTIONS.items():
             if key in data:
                 kw[key] = section(**_only(data[key], _KEYS[section], key))
+        version = _number(data.get("schema_version", SCHEMA_VERSION),
+                          "schema_version", int)
+        if version != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema_version {version!r}; "
+                              f"this build reads version {SCHEMA_VERSION}")
         return cls(**kw)
 
     @classmethod
@@ -479,7 +475,9 @@ def run_weak_value(config: ExperimentConfig):
 
 
 def run_sweep_rho(config: ExperimentConfig):
-    """One weak-value row per rho; the closed form must move affinely."""
+    """One weak-value row per rho; the measured weak value must move
+    affinely in rho, with slope 2 Im<f,As>/<f,s>. The summary's line runs
+    through the measured values at the least and the greatest rho."""
     rows = [ResultRow(scenario="sweep-rho", rho=rho,
                       **_weak_value_fields(weak_value_report(
                           eps_sweep(config.setup(rho), config.schedule))))
@@ -488,19 +486,14 @@ def run_sweep_rho(config: ExperimentConfig):
     aav_imag = rows[0].wv_aav_im
     summary = {"aav_imag": aav_imag,
                "expected_slope": None if aav_imag is None else 2.0 * aav_imag}
-    pairs = [(r.rho, r.wv_closed) for r in rows if r.wv_closed is not None]
-    # a line through fewer than two distinct rho is not determined
-    if len({rho for rho, _ in pairs}) >= 2:
-        # polyfit squares its columns, so it fits x and y divided by powers
-        # of two that bound them; the scaling and its undoing are exact
-        x, y = np.array(pairs).T
-        ex, ey = np.frexp(np.abs(pairs).max(axis=0))[1]
-        slope, intercept = np.polyfit(np.ldexp(x, -ex), np.ldexp(y, -ey), 1)
-        # undoing the scaling may overflow; the summary then reads null
-        with np.errstate(over="ignore"):
-            slope = float(np.ldexp(slope, ey - ex))
-            intercept = float(np.ldexp(intercept, ey))
-        summary.update(fitted_slope=slope, fitted_intercept=intercept,
+    lo, hi = rows[0], rows[-1]
+    # a line through one distinct rho is not determined; Python floats
+    # overflow to inf without a warning, which the report prints as null
+    if (lo.rho < hi.rho and aav_imag is not None
+            and None not in (lo.wv_numeric, hi.wv_numeric)):
+        slope = (hi.wv_numeric - lo.wv_numeric) / (hi.rho - lo.rho)
+        summary.update(fitted_slope=slope,
+                       fitted_intercept=lo.wv_numeric - slope * lo.rho,
                        slope_residual=slope - 2.0 * aav_imag)
     return rows, summary
 
@@ -590,9 +583,6 @@ def run_aav_grid(config: ExperimentConfig):
     mom = report.coupling_moment
     m = meter.m.amps
     read = complex(np.vdot(m, meter.apply_B(m)))      # B = Q
-    conj_chirp = chirped_gaussian_state(config.grid, -rho).amps
-    chirp_mom = complex(np.vdot(conj_chirp,
-                                meter.apply_B(meter.apply_P(conj_chirp))))
     # qubit_meter(rho)'s <m,BGm> to the bit: it sums rho with a zero
     qubit_closed = (None if report.aav_complex is None else
                     _closed_form(report.aav_complex, complex(rho + 0.0, 0.5)))
@@ -600,7 +590,6 @@ def run_aav_grid(config: ExperimentConfig):
         "initial_reading_abs": abs(read),
         "coupling_moment": [mom.real, mom.imag],
         "coupling_moment_error": abs(mom - complex(rho, 0.5)),
-        "chirp_equivalence_residual": abs(chirp_mom - mom),
         "qubit_meter_closed_form": qubit_closed,
         "grid_minus_qubit_closed_form": None if qubit_closed is None
         else report.closed_form - qubit_closed,

@@ -381,10 +381,12 @@ def weak_value_extrapolation(sweep: EpsSweep) -> ExtrapolationResult:
 
 def aav_complex_weak_value(a: Observable, s: StateVector,
                            f: StateVector) -> complex:
-    """The complex ratio <f, As> / <f, s>."""
+    """The complex ratio <f, As> / <f, s>; a ratio past the float range
+    overflows to inf or NaN parts without a warning."""
     _check_overlap(a, s, f)
-    return complex(np.vdot(f.amps, a.entries @ s.amps)
-                   / np.vdot(f.amps, s.amps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.vdot(f.amps, a.entries @ s.amps)
+                       / np.vdot(f.amps, s.amps))
 
 
 def traditional_weak_value(a: Observable, s: StateVector,

@@ -1,5 +1,6 @@
 """Tests for the experiment runner: configs, scenarios, and the CLI."""
 
+import contextlib
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dataclasses import asdict, replace
@@ -104,6 +105,12 @@ class TestConfigValidation:
     def test_unknown_schema_version(self):
         data = preset("aav100").to_dict()
         data["schema_version"] = 99
+        with pytest.raises(ConfigError, match="schema_version"):
+            ExperimentConfig.from_dict(data)
+
+    def test_boolean_schema_version_rejected(self):
+        # a JSON true loads as the int 1, the one version there is
+        data = {**preset("aav100").to_dict(), "schema_version": True}
         with pytest.raises(ConfigError, match="schema_version"):
             ExperimentConfig.from_dict(data)
 
@@ -283,8 +290,7 @@ class TestConfigValidation:
         lambda: MeterConfig(rho="1"),
         lambda: MonteCarloConfig(seed=True),
         lambda: MonteCarloConfig(n_trials="5"),
-        lambda: replace(preset("aav100"), schema_version=True),
-    ], ids=["n_points", "rho", "seed", "n_trials", "schema_version"])
+    ], ids=["n_points", "rho", "seed", "n_trials"])
     def test_direct_construction_runs_the_json_checks(self, build):
         with pytest.raises(ConfigError):
             build()
@@ -403,8 +409,9 @@ class TestSweepRhoScenario:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("big", [1e154, 1e300])
     def test_fit_survives_rho_near_the_float_range(self, big):
-        # polyfit squares its columns, which overflowed at |rho| ~ 1e154
-        # and printed a slope of 0.0 beside rows that all read ok
+        # a least-squares fit squares its columns, which overflowed at
+        # |rho| ~ 1e154 and printed a slope of 0.0 beside rows that all
+        # read ok
         cfg = replace(preset("nonunique-rho50"), scenario="sweep-rho",
                       rho_values=(-big, 0.0, big))
         rows, summary = run_scenario(cfg)
@@ -412,9 +419,10 @@ class TestSweepRhoScenario:
         assert summary["fitted_slope"] == pytest.approx(2.0, rel=1e-12)
         assert abs(summary["slope_residual"]) <= 1e-12
 
-    def test_fit_that_overflows_reads_null(self, tmp_path, capsys):
+    def test_line_of_a_steep_config_is_the_two_point_line(self, tmp_path,
+                                                           capsys):
         # a closed form near the float limit over rho values near zero:
-        # the fitted slope overflows when its scaling is undone
+        # both rows miss it, and the line runs through what they measured
         path = tmp_path / "steep.json"
         path.write_text(json.dumps({
             "scenario": "sweep-rho",
@@ -427,9 +435,46 @@ class TestSweepRhoScenario:
                          "--format", "json"]) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        summary = json.loads(out)["summary"]
-        assert summary["fitted_slope"] is None
-        assert summary["slope_residual"] is None
+        report = json.loads(out)
+        lo, hi = report["rows"]
+        summary = report["summary"]
+        slope = (hi["wv_numeric"] - lo["wv_numeric"]) / (hi["rho"] - lo["rho"])
+        assert summary["fitted_slope"] == slope
+        assert summary["fitted_intercept"] == (lo["wv_numeric"]
+                                               - slope * lo["rho"])
+        assert summary["slope_residual"] == slope - 2.0 * summary["aav_imag"]
+
+    def test_fitted_slope_is_read_off_the_measured_rows(self):
+        # the closed form is affine in rho by construction, so a line
+        # through it checks nothing; the measured values are the claim
+        cfg = replace(preset("nonunique-rho50"), scenario="sweep-rho")
+        rows, summary = run_scenario(cfg)
+        assert summary["fitted_slope"] == (
+            (rows[-1].wv_numeric - rows[0].wv_numeric) / 100.0)
+        assert summary["fitted_intercept"] == (
+            rows[0].wv_numeric + 50.0 * summary["fitted_slope"])
+
+    def test_measured_rows_without_a_ratio_fit_no_line(self, tmp_path,
+                                                       capsys):
+        # Im<f,As>/<f,s> overflows to an empty cell beside finite
+        # measured values: there is no slope to check them against
+        path = tmp_path / "imag.json"
+        path.write_text(json.dumps({
+            "scenario": "sweep-rho",
+            "system": {"A": [[0, [0, -1e300]], [[0, 1e300], 0]],
+                       "s": [1, 0], "f": [1e-9, 1]},
+            "rho_values": [-1.0, 1.0]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep-rho", "--config", str(path),
+                         "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        assert None not in [r["wv_numeric"] for r in report["rows"]]
+        assert report["summary"]["aav_imag"] is None
+        assert not {"fitted_slope", "fitted_intercept",
+                    "slope_residual"} & set(report["summary"])
 
     def test_one_distinct_rho_fits_no_line(self):
         cfg = generic_config(scenario="sweep-rho", rho_values=(5.0, 5.0, 5.0))
@@ -518,7 +563,6 @@ class TestAavGridScenario:
         rows, summary = run_scenario(cfg)
         row = rows[0]
         assert summary["coupling_moment_error"] <= 1e-8
-        assert summary["chirp_equivalence_residual"] <= 1e-8
         assert summary["initial_reading_abs"] <= 1e-10
         assert abs(summary["grid_minus_qubit_closed_form"]) <= 1e-6
         assert abs(row.wv_numeric - row.wv_closed) <= 1e-4
@@ -1360,6 +1404,27 @@ class TestOutOfRegimeCoupling:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "failed calibration" in err
 
+    @pytest.mark.parametrize("scenario", ["weak-value", "sweep-rho",
+                                          "compare"])
+    def test_ratio_past_the_float_range_runs_without_a_warning(
+            self, tmp_path, capsys, scenario):
+        # <f, As> / <f, s> = 1e300 / 1e-9 overflows: the row reads
+        # unconverged beside an empty closed form
+        path = tmp_path / "ratio.json"
+        path.write_text(json.dumps({
+            "system": {"A": [[0, 1e300], [1e300, 0]], "s": [1, 0],
+                       "f": [1e-9, 1]},
+            "meter": {"kind": "qubit", "rho": 1.0}, "rho_values": [1.0],
+            "mc": {"n_trials": 2000, "seed": 1}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([scenario, "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        (record,) = row_dicts(out)
+        assert record["status"] == STATUS_UNCONVERGED
+        assert record["wv_closed"] == ""
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("system", OUT_OF_REGIME)
     def test_qubit_compare_runs_without_a_warning(self, tmp_path, capsys,
@@ -1371,3 +1436,102 @@ class TestOutOfRegimeCoupling:
         out, err = capsys.readouterr()
         assert err == ""
         assert out
+
+
+# magnitudes from zero to the float limit, where products, norms and
+# ratios of config entries overflow or underflow
+EXTREMES = (0.0, 1e-300, 1e-8, 1.0, 50.0, 1e8, 1e154, 1e300, 1.7e308)
+
+
+def signed(magnitudes):
+    """Either sign of a magnitude; two draws in three are moderate, so
+    that most configs load."""
+    moderate = st.sampled_from(EXTREMES[2:6])
+    return st.builds(lambda x, negative: -x if negative else x,
+                     moderate | moderate | st.sampled_from(magnitudes),
+                     st.booleans())
+
+
+def entries(magnitudes):
+    """A config number: a plain real or an [re, im] pair."""
+    x = signed(magnitudes)
+    return x | st.lists(x, min_size=2, max_size=2)
+
+
+any_real, any_entry = signed(EXTREMES), entries(EXTREMES)
+# a state whose norm overflows is refused whole, so its entries stop at
+# 1e154
+state_entry = entries(EXTREMES[:7])
+
+
+@st.composite
+def json_configs(draw):
+    """A config as a JSON file holds it: a Hermitian A of dimension 1-3,
+    entries and rho values of any magnitude, a descending schedule in
+    (0, 0.5] and a small grid, within its supported envelope, or trial
+    count."""
+    dim = draw(st.integers(1, 3))
+    a = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        a[i][i] = draw(any_real)
+        for j in range(i + 1, dim):
+            z = draw(any_entry)
+            a[i][j], a[j][i] = z, [z[0], -z[1]] if isinstance(z, list) else z
+    state = st.lists(state_entry, min_size=dim, max_size=dim)
+    # one eps suits only sample and disturbance, so it comes last
+    n_eps = draw(st.sampled_from([2, 3, 5, 1]))
+    eps = draw(st.lists(st.floats(1e-6, 0.5), min_size=n_eps,
+                        max_size=n_eps, unique=True))
+    return {
+        "system": {"A": a, "s": draw(state), "f": draw(state)},
+        "meter": {"kind": draw(st.sampled_from(["qubit", "grid"])),
+                  "rho": draw(any_real),
+                  "n_points": draw(st.sampled_from([128, 256])),
+                  "half_width": draw(st.sampled_from([12.0, 20.0]))},
+        "eps_schedule": sorted(eps, reverse=True),
+        "rho_values": draw(st.lists(any_real, min_size=1, max_size=3)),
+        "mc": {"n_trials": draw(st.integers(1, 2000)),
+               "seed": draw(st.integers(0, 2 ** 64 - 1))},
+    }
+
+
+def pinned(system, rho_values):
+    return {"system": system, "meter": {"kind": "qubit", "rho": 1.0},
+            "rho_values": rho_values, "mc": {"n_trials": 2000, "seed": 1}}
+
+
+class TestMainOnAnyConfig:
+    """Whatever a config holds, main exits 0 with a strict report or 2
+    with one error line, and never warns or raises."""
+
+    @settings(derandomize=True, database=None, max_examples=200,
+              deadline=None)
+    @given(json_configs(), st.sampled_from(SCENARIOS),
+           st.sampled_from(["csv", "json"]))
+    # <f, As> / <f, s> overflows in both parts, then in its imaginary part
+    @example(pinned({"A": [[0, 1e300], [1e300, 0]], "s": [1, 0],
+                     "f": [1e-9, 1]}, [1.0]), "weak-value", "json")
+    @example(pinned({"A": [[0, [0, -1e300]], [[0, 1e300], 0]], "s": [1, 0],
+                     "f": [1e-9, 1]}, [-1.0, 1.0]), "sweep-rho", "json")
+    def test_exits_0_or_2_without_a_warning(self, tmp_path_factory, data,
+                                            scenario, fmt):
+        path = tmp_path_factory.getbasetemp() / "any-config.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([scenario, "--config", str(path), "--format", fmt])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            return
+        assert err == ""
+        if fmt == "json":
+            rows = json.loads(out, parse_constant=pytest.fail)["rows"]
+        else:
+            rows = row_dicts(out)
+        assert {r["status"] for r in rows} <= {
+            STATUS_OK, STATUS_UNDEFINED, STATUS_UNCONVERGED}
