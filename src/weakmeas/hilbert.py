@@ -47,12 +47,15 @@ class StateVector:
             raise ValueError("state vector needs at least one amplitude")
         if not np.isfinite(a).all():
             raise ValueError("state vector has non-finite amplitudes")
-        with np.errstate(over="ignore"):
-            n = float(np.linalg.norm(a))
-        if not math.isfinite(n):
-            raise ValueError("state vector norm overflows float64; "
-                             "scale the amplitudes down")
-        if n < _ZERO_NORM:
+        # scaling by 2^-e, 2^e just above the largest real or imaginary
+        # part, is exact and keeps the norm from overflowing, and the
+        # quotient by the scaled norm is unchanged
+        parts = a.view(np.float64)
+        _, e = math.frexp(float(np.abs(parts).max()))
+        a = np.ldexp(parts, -e).view(np.complex128)
+        n = float(np.linalg.norm(a))
+        # the true norm is n 2^e, and at least 1 for e > 0
+        if math.ldexp(n, min(e, 0)) < _ZERO_NORM:
             raise ValueError("cannot normalize a numerically zero vector")
         a = a / n
         a.setflags(write=False)

@@ -7,29 +7,36 @@ followed by the postselection on f, and both are described by one
 two-stage sampler draws numbered trials from it. A sampling run carries
 the table it sampled.
 
-Reproducibility contract: trials are numbered, and trial i draws its
-uniforms from the i-th counter block of a Philox stream keyed by the
-seed (one block is four doubles; a trial consumes the first two). A run
+Reproducibility contract: trials are numbered, and trial i draws from
+the i-th counter block of a Philox stream keyed by the seed (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011). A block is
+four 64-bit words; the trial reads the top 53 bits k of words 0 and 1,
+whose uniforms k 2^-53 are the values ``Generator.random`` gives. A run
 sharded as [0, k) + [k, n) therefore reproduces the serial run [0, n)
 bit for bit, for any split points: the shards' counts add up to the
 serial counts, and an estimate is a function of those counts alone.
-Trials are drawn CHUNK_TRIALS at a time, a block that fits a typical L2
-cache, so memory is O(CHUNK_TRIALS) for any trial count. One pass may
-sample several tables: each reads the same uniforms, so each run equals
-its one-table run on the same seed and offset bit for bit, and runs of
-one pass use common random numbers and are correlated
+Trials are drawn CHUNK_TRIALS at a time, 512 KiB of raw words that fit a
+typical L2 cache, so memory is O(CHUNK_TRIALS) for any trial count. One
+pass may sample several tables: each reads the same draws, so each run
+equals its one-table run on the same seed and offset bit for bit, and
+runs of one pass use common random numbers and are correlated
 (``monte_carlo_pair``, which ``compare`` uses, is such a pass).
 
 A trial's branch is the number of cumulative marginals at or below its
-scaled uniform. Up to SCAN_MAX_BRANCHES branches no trial's branch is
-stored: the masks "at or above edge j" nest, so each branch's successes
-and failures are differences of mask counts. Larger tables start each
-uniform at a guide table's entry for its cell of [0, total) (Chen &
-Asau's indexed search; Devroye, *Non-Uniform Random Variate Generation*,
-1986, §III.2.4). A check against the start's own branch bounds marks the
-few starts that are wrong, and those are found again by binary search.
-Both ways give the counts ``searchsorted(edges, x, "right")`` does, so
-the table size never changes a run.
+scaled uniform x = fl(k0 2^-53 total), and it passes the postselection
+when its second uniform is below the branch's acceptance probability.
+Both tests are made on the draws themselves: once per table, each edge
+becomes the least k0 whose x reaches it and each probability c becomes
+ceil(c 2^53), so no uniform is formed. Up to SCAN_MAX_BRANCHES branches
+no trial's branch is stored: the masks "at or above threshold j" nest,
+so each branch's successes and failures are differences of mask counts.
+Larger tables start each draw at a guide table's entry for its cell,
+the draw's top bits (Chen & Asau's indexed search; Devroye,
+*Non-Uniform Random Variate Generation*, 1986, §III.2.4). A check
+against the start's own branch bounds marks the few starts that are
+wrong, and those are found again by binary search. Both ways give the
+counts ``searchsorted(edges, x, "right")`` does on the uniforms, so the
+table size never changes a run.
 """
 
 from __future__ import annotations
@@ -44,8 +51,9 @@ import numpy as np
 from .hilbert import Observable, StateVector
 from .protocol import OutcomeTable, WeakSetup, coupled_state, projective_tables
 
-CHUNK_TRIALS = 2 ** 14        # trials per pass: 512 KiB of uniforms
+CHUNK_TRIALS = 2 ** 14        # trials per pass: 512 KiB of Philox words
 SCAN_MAX_BRANCHES = 12        # larger tables pick branches by guide table
+_K_END = 2 ** 53              # every draw k is below it
 
 
 @dataclass(frozen=True)
@@ -137,38 +145,45 @@ def _philox_generator(seed: int, trial_offset: int) -> np.random.Generator:
 
 
 class _Tally:
-    """One table's share of a sampling pass: its per-branch counts."""
+    """One table's share of a sampling pass: its per-branch counts, from
+    each trial's draws against the table's integer thresholds."""
 
     def __init__(self, table: OutcomeTable):
         values, marginal, joint = table
         cum = np.cumsum(marginal)
-        self.table, self.total, self.edges = table, cum[-1], cum[:-1]
-        self.guide = _guide_table(self.edges, self.total)
-        self.cond = np.where(marginal > 0,
-                             joint / np.maximum(marginal, 1e-300), 0.0)
+        self.table = table
+        self.thresholds = _thresholds(cum[:-1], cum[-1])
+        self.guide = _guide_table(self.thresholds)
+        cond = np.where(marginal > 0,
+                        joint / np.maximum(marginal, 1e-300), 0.0)
+        # u1 = k1 2^-53 < c exactly when k1 < ceil(c 2^53), an exact
+        # scaling; a NaN or negative c accepts no draw, one of 1 or more
+        # every draw
+        self.accept = np.ceil(np.where(cond > 0, np.minimum(cond, 1.0), 0.0)
+                              * 2.0 ** 53).astype(np.int64)
         self.counts = np.zeros(2 * len(values), dtype=np.intp)
 
-    def add(self, u0: np.ndarray, u1: np.ndarray) -> None:
-        """Tally a chunk: branch uniforms u0, acceptance uniforms u1."""
-        x = u0 * self.total
+    def add(self, k0: np.ndarray, k1: np.ndarray) -> None:
+        """Tally a chunk: branch draws k0, acceptance draws k1."""
         if self.guide is None:
-            # masks x >= edge nest: branch j is the trials at or above its
-            # lower edge (all for j = 0) less those at or above its upper one
-            lower, n_lower = None, x.size
-            for j, cond in enumerate(self.cond):
-                ok = u1 < cond
+            # masks k0 >= K_j nest: branch j is the trials at or above its
+            # lower threshold (all for j = 0) less those at or above its
+            # upper one
+            lower, n_lower = None, k0.size
+            for j, accept in enumerate(self.accept):
+                ok = k1 < accept
                 hits = np.count_nonzero(ok if lower is None else lower & ok)
                 upper, n_upper = None, 0
-                if j < self.edges.size:
-                    upper = x >= self.edges[j]
+                if j < self.thresholds.size:
+                    upper = k0 >= self.thresholds[j]
                     n_upper = np.count_nonzero(upper)
                     hits -= np.count_nonzero(upper & ok)
                 self.counts[2 * j:2 * j + 2] += hits, n_lower - n_upper - hits
                 lower, n_lower = upper, n_upper
         else:
-            gi = _pick_branch(self.edges, x, self.guide)
+            gi = _pick_branch(self.thresholds, k0, self.guide)
             # cell 2 * gi holds branch gi's successes, the next its failures
-            cell = 2 * gi + (u1 >= self.cond[gi])
+            cell = 2 * gi + (k1 >= self.accept[gi])
             self.counts += np.bincount(cell, minlength=self.counts.size)
 
     def run(self, n_trials: int, seed: int) -> MonteCarloRun:
@@ -177,44 +192,81 @@ class _Tally:
             self.table.values, counts[:, 0], n_trials, seed))
 
 
+def _thresholds(edges: np.ndarray, total: float) -> np.ndarray:
+    """K_j, the least draw k in [0, 2^53] whose scaled uniform
+    fl(k 2^-53 total) is at or above edges[j], with 2^53 where no draw's
+    is: x >= edges[j] holds exactly when k >= K_j, since x does not
+    decrease as k grows.
+
+    Each K_j is read off a window of six draws around
+    ceil(edges[j] / total 2^53). An edge whose window does not hold its
+    K_j, as in a NaN or an infinite table, is found by a bisection of
+    [0, 2^53] in 54 steps, so the work is bounded whatever the table
+    holds.
+    """
+    def passes(k, e):
+        return k * 2.0 ** -53 * total >= e
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # fmax and fmin take a NaN guess to 2
+        guess = np.fmin(np.fmax(np.ceil(edges / total * 2.0 ** 53), 2.0),
+                        _K_END - 2.0)
+        window = guess.astype(np.int64) + np.arange(-3, 3)[:, None]
+        below = ~passes(window, edges)
+        k = window[0] + below.sum(axis=0)
+        bad = np.flatnonzero(~below[0] | below[-1])
+        if bad.size:
+            e, lo = edges[bad], np.zeros(bad.size, np.int64)
+            hi = np.full(bad.size, _K_END)
+            for _ in range(54):
+                mid = (lo + hi) >> 1
+                p = passes(mid, e)
+                hi = np.where(p, mid, hi)
+                lo = np.where(p, lo, np.minimum(mid + 1, hi))
+            k[bad] = lo
+    return k
+
+
 class _Guide(NamedTuple):
-    """A guide table over [0, total): ``nb`` equal cells, the branch each
-    cell's left end falls in, and each branch's bounds."""
+    """A guide table over the draws [0, 2^53): ``nb`` equal cells, the
+    branch each cell's first draw falls in, and each branch's bounds."""
 
-    scale: float           # nb / total: cells per unit of x
-    start: np.ndarray      # nb + 1 entries; x = total lands in the last
-    lo: np.ndarray         # [-inf, *edges]
-    hi: np.ndarray         # [*edges, inf]
+    shift: int             # 53 - log2 nb: a draw's cell is k >> shift
+    start: np.ndarray      # nb entries
+    lo: np.ndarray         # [0, *K]
+    hi: np.ndarray         # [*K, 2^53 + 1]
 
 
-def _guide_table(edges: np.ndarray, total: float) -> _Guide | None:
+def _guide_table(thresholds: np.ndarray) -> _Guide | None:
     """The guide table of a table with more than SCAN_MAX_BRANCHES
     branches, or None for a table small enough to scan. nb is the
     smallest power of two at least four times the branch count."""
-    if edges.size < SCAN_MAX_BRANCHES:
+    if thresholds.size < SCAN_MAX_BRANCHES:
         return None
-    nb = 1 << (4 * (edges.size + 1) - 1).bit_length()
-    left = np.arange(nb + 1) * (total / nb)
-    inf = np.array([np.inf])
-    return _Guide(nb / total, np.searchsorted(edges, left, side="right"),
-                  np.concatenate((-inf, edges)), np.concatenate((edges, inf)))
+    nb = 1 << (4 * (thresholds.size + 1) - 1).bit_length()
+    shift = 53 - (nb.bit_length() - 1)
+    # cell c starts at the branch that counts the thresholds at or below
+    # its first draw c 2^shift: those whose cell, rounded up, is at most c
+    up = (thresholds + (1 << shift) - 1) >> shift
+    return _Guide(shift, np.cumsum(np.bincount(up, minlength=nb + 1))[:nb],
+                  np.concatenate(([0], thresholds)),
+                  np.concatenate((thresholds, [_K_END + 1])))
 
 
-def _pick_branch(edges: np.ndarray, x: np.ndarray,
+def _pick_branch(thresholds: np.ndarray, k: np.ndarray,
                  guide: _Guide) -> np.ndarray:
-    """The branch each x in [0, total] falls in: the number of edges (the
-    cumulative marginals but the last) at or below it, which is what
-    searchsorted(edges, x, "right") gives.
+    """The branch of each draw k in [0, 2^53): the number of thresholds
+    at or below it, which is what searchsorted(thresholds, k, "right")
+    gives, and so searchsorted(edges, x, "right") on its scaled uniform.
 
-    Each x starts at its cell's entry, and the start is kept where
-    lo <= x < hi holds for its branch; only one branch passes, even across
-    repeated edges of zero-mass branches. The rest (about 2% on the
-    n = 1024 grid) are found by searchsorted. There is no correction loop,
-    so the work is bounded whatever the rounding of x * scale.
+    Each k starts at its cell's entry, and the start is kept where
+    lo <= k < hi holds for its branch; only one branch passes, even across
+    repeated thresholds of zero-mass branches. The rest (about 2% on the
+    n = 1024 grid) are found by searchsorted.
     """
-    gi = guide.start[(x * guide.scale).astype(np.intp)]
-    miss = np.flatnonzero((x < guide.lo[gi]) | (x >= guide.hi[gi]))
-    gi[miss] = np.searchsorted(edges, x[miss], side="right")
+    gi = guide.start[k >> guide.shift]
+    miss = np.flatnonzero((k < guide.lo[gi]) | (k >= guide.hi[gi]))
+    gi[miss] = np.searchsorted(thresholds, k[miss], side="right")
     return gi
 
 
@@ -223,18 +275,20 @@ def _sample(tables: list[OutcomeTable], n_trials: int, seed: int,
     """Draw numbered trials from each table, CHUNK_TRIALS at a time: each
     trial picks an eigenspace with its Born probability, then passes the
     postselection with the conditional probability joint / marginal.
-    Every table reads the same uniforms, the acceptance column from one
-    contiguous copy, so each run equals its one-table run bit for bit."""
+    Every table reads the same draws, so each run equals its one-table
+    run bit for bit."""
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    rng = _philox_generator(seed, trial_offset)
+    bits = _philox_generator(seed, trial_offset).bit_generator
     tallies = [_Tally(table) for table in tables]
-    buf = np.empty((min(CHUNK_TRIALS, n_trials), 4))
     for start in range(0, n_trials, CHUNK_TRIALS):
-        u = rng.random(out=buf[:min(CHUNK_TRIALS, n_trials - start)])
-        u1 = u[:, 1].copy()
+        m = min(CHUNK_TRIALS, n_trials - start)
+        words = bits.random_raw(4 * m).reshape(m, 4)
+        # the top 53 bits of a word: Generator.random's u is k 2^-53
+        k0, k1 = ((words[:, i] >> np.uint64(11)).view(np.int64)
+                  for i in (0, 1))
         for tally in tallies:
-            tally.add(u[:, 0], u1)
+            tally.add(k0, k1)
     return [tally.run(n_trials, seed) for tally in tallies]
 
 

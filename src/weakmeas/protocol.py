@@ -20,6 +20,7 @@ such as the Fourier-grid meter, never forms a dim_M x dim_M matrix.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -313,13 +314,16 @@ class EpsSweep:
     ``readings`` are the normalized average meter readings
     <r, (I (x) B) r> / eps; ``moments`` and ``probabilities`` are
     N = <w, Bw> and D = <w, w> of the postselected meter vector
-    w = <f| r; ``system_states`` are tr_M |r><r| = r r^dagger.
+    w = <f| r, and ``moment_bounds`` the Cauchy-Schwarz bounds
+    |N| <= |w| |Bw|, the scale of N's roundoff; ``system_states`` are
+    tr_M |r><r| = r r^dagger.
     """
 
     setup: WeakSetup
     eps_values: tuple
     readings: tuple
     moments: tuple
+    moment_bounds: tuple
     probabilities: tuple
     system_states: tuple
 
@@ -331,9 +335,10 @@ class EpsSweep:
         """
         _check_overlap(self.setup.A, self.setup.s, self.setup.f)
         out = []
-        for num, den in zip(self.moments, self.probabilities):
+        for num, bound, den in zip(self.moments, self.moment_bounds,
+                                   self.probabilities):
             _check_postselection(den, "postselection probability")
-            out.append(real_part(num, "conditional reading") / den)
+            out.append(real_part(num, "conditional reading", bound) / den)
         return out
 
 
@@ -347,19 +352,28 @@ def eps_sweep(setup: WeakSetup, sched: EpsSchedule = None) -> EpsSweep:
     apply_B = setup.meter.apply_B
     f_bra = setup.f.amps.conj()
     eps_values = (sched or EpsSchedule.default()).eps_values
-    readings, moments, probabilities, states = [], [], [], []
+    readings, moments, bounds, probabilities, states = [], [], [], [], []
     for eps in eps_values:
         r = coupled_state(setup, eps)
         # (P_f (x) I) r = f (x) w, so postselected moments of I (x) B
         # are moments of B in the meter vector w
         w = f_bra @ r
-        readings.append(real_part(complex(np.vdot(r, apply_B(r))),
-                                  "meter reading") / eps)
-        moments.append(complex(np.vdot(w, apply_B(w))))
-        probabilities.append(float(np.vdot(w, w).real))
+        br, bw = apply_B(r), apply_B(w)
+        d = float(np.vdot(w, w).real)
+        # |<v, Bv>| <= |v| |Bv| scales each inner product's roundoff
+        bounds.append(math.sqrt(d) * _norm(bw))
+        readings.append(real_part(complex(np.vdot(r, br)), "meter reading",
+                                  _norm(r) * _norm(br)) / eps)
+        moments.append(complex(np.vdot(w, bw)))
+        probabilities.append(d)
         states.append(r @ r.conj().T)
     return EpsSweep(setup, eps_values, tuple(readings), tuple(moments),
-                    tuple(probabilities), tuple(states))
+                    tuple(bounds), tuple(probabilities), tuple(states))
+
+
+def _norm(v: np.ndarray) -> float:
+    # BLAS vdot: an overflow reads inf without a warning
+    return math.sqrt(float(np.vdot(v, v).real))
 
 
 def unconditional_limit(sweep: EpsSweep) -> float:

@@ -965,6 +965,18 @@ class TestMainEntry:
         info = cli._parser.cache_info()
         assert (info.misses, info.hits) == (1, 3)
 
+    def test_state_whose_norm_overflows_runs(self, tmp_path, capsys):
+        # the norm of s overflows float64, its direction is (1, 1)/sqrt 2
+        rows = []
+        for s in ([[1e308, 0], [1e308, 0]], [1, 1]):
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps({**generic_config().to_dict(),
+                                        "system": {"A": SX, "s": s,
+                                                   "f": [1, 0]}}))
+            assert main(["weak-value", "--config", str(path)]) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
+
     def test_exit_2_on_bad_inputs(self, tmp_path, capsys):
         cases = []
         cfg_path = tmp_path / "cfg.json"
@@ -1004,10 +1016,8 @@ class TestMainEntry:
                        {"eps_schedule": [0.01, 10 ** 400]},
                        {"rho_values": [0, -10 ** 400]},
                        {"system": {**system, "s": [[1, 10 ** 400], 0]}}]
-        # finite entries whose norm or symmetrization overflows float64
-        overflow = {"norm": {"system": {"A": SX, "f": [1, 0],
-                                        "s": [[1e308, 0], [1e308, 0]]}},
-                    "symmetrized": {"system": {
+        # finite entries whose symmetrization overflows float64
+        overflow = {"symmetrized": {"system": {
                         "A": [[[1e308, 0], [0, 0]], [[0, 0], [-1e308, 0]]],
                         "s": [1, 1], "f": [1, 0]}}}
         wrong_types += overflow.values()
@@ -1044,7 +1054,7 @@ class TestMainEntry:
             assert captured.out == "", argv
             assert captured.err.startswith("error:")
             errors[argv[-1]] = captured.err
-        first = wrong_types.index(overflow["norm"])
+        first = wrong_types.index(overflow["symmetrized"])
         for i in range(first, first + len(overflow)):
             assert "overflow" in errors[str(tmp_path / f"wrong{i}.json")]
         assert errors[""] == ("error: output path must be a nonempty string "
@@ -1459,9 +1469,6 @@ def entries(magnitudes):
 
 
 any_real, any_entry = signed(EXTREMES), entries(EXTREMES)
-# a state whose norm overflows is refused whole, so its entries stop at
-# 1e154
-state_entry = entries(EXTREMES[:7])
 
 
 @st.composite
@@ -1477,7 +1484,7 @@ def json_configs(draw):
         for j in range(i + 1, dim):
             z = draw(any_entry)
             a[i][j], a[j][i] = z, [z[0], -z[1]] if isinstance(z, list) else z
-    state = st.lists(state_entry, min_size=dim, max_size=dim)
+    state = st.lists(any_entry, min_size=dim, max_size=dim)
     # one eps suits only sample and disturbance, so it comes last
     n_eps = draw(st.sampled_from([2, 3, 5, 1]))
     eps = draw(st.lists(st.floats(1e-6, 0.5), min_size=n_eps,
@@ -1495,8 +1502,44 @@ def json_configs(draw):
     }
 
 
-def pinned(system, rho_values):
-    return {"system": system, "meter": {"kind": "qubit", "rho": 1.0},
+def places(node, at=()):
+    """The path of every key and list item in a JSON value."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield (*at, key)
+        yield from places(child, (*at, key))
+
+
+JUNK = (True, False, "1", "", None, {}, {"x": 1}, [], [0.5, 0.25, 0.125, 1])
+
+
+@st.composite
+def corrupted_configs(draw):
+    """A json_configs draw with one place made ill-typed or malformed: a
+    boolean, a string, null, an object or a list put in, the value put
+    one list deeper, the key or list item dropped (a missing required
+    key, a list of the wrong length), or an unknown key beside it. A
+    place at the top is a whole section."""
+    data = draw(json_configs())
+    *above, key = draw(st.sampled_from(list(places(data))))
+    owner = data
+    for k in above:
+        owner = owner[k]
+    how = draw(st.sampled_from(["junk", "deeper", "drop", "unknown"]))
+    if how == "junk":
+        owner[key] = draw(st.sampled_from(JUNK))
+    elif how == "deeper":
+        owner[key] = [owner[key]]
+    elif how == "drop":
+        del owner[key]
+    else:
+        (owner if isinstance(owner, dict) else data)["bogus"] = 1
+    return data
+
+
+def pinned(system, rho_values, rho=1.0):
+    return {"system": system, "meter": {"kind": "qubit", "rho": rho},
             "rho_values": rho_values, "mc": {"n_trials": 2000, "seed": 1}}
 
 
@@ -1513,8 +1556,23 @@ class TestMainOnAnyConfig:
                      "f": [1e-9, 1]}, [1.0]), "weak-value", "json")
     @example(pinned({"A": [[0, [0, -1e300]], [[0, 1e300], 0]], "s": [1, 0],
                      "f": [1e-9, 1]}, [-1.0, 1.0]), "sweep-rho", "json")
+    # at rho 1e8 the meter reading's and N's roundoff scale with |B|
+    @example(pinned({"A": [[1e4, 0], [0, -1e4]], "s": [1, 1],
+                     "f": [1, 0.5]}, [1e8], rho=1e8), "weak-value", "json")
     def test_exits_0_or_2_without_a_warning(self, tmp_path_factory, data,
                                             scenario, fmt):
+        self.check_run(tmp_path_factory, data, scenario, fmt)
+
+    @settings(derandomize=True, database=None, max_examples=200,
+              deadline=None)
+    @given(corrupted_configs(), st.sampled_from(SCENARIOS),
+           st.sampled_from(["csv", "json"]))
+    def test_malformed_config_exits_0_or_2(self, tmp_path_factory, data,
+                                           scenario, fmt):
+        self.check_run(tmp_path_factory, data, scenario, fmt)
+
+    @staticmethod
+    def check_run(tmp_path_factory, data, scenario, fmt):
         path = tmp_path_factory.getbasetemp() / "any-config.json"
         path.write_text(json.dumps(data))
         out, err = io.StringIO(), io.StringIO()

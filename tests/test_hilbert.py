@@ -63,13 +63,22 @@ class TestStateVector:
         with pytest.raises(ValueError, match="non-finite"):
             StateVector([1.0, bad])
 
-    @pytest.mark.parametrize("amps", [[1e308, 1e308], [1e200, 0.0],
-                                      [1e308j, 1e308]])
-    def test_norm_overflow_rejected(self, amps):
-        # the norm overflows to inf, which would normalize to a zero
-        # vector; refused by name, without a RuntimeWarning
-        with pytest.raises(ValueError, match="overflow"):
-            StateVector(amps)
+    @pytest.mark.parametrize("amps, want", [
+        ([1e308, 1e308], [2 ** -0.5, 2 ** -0.5]),
+        ([1e200, 0.0], [1.0, 0.0]),
+        ([1e308j, 1e308], [2 ** -0.5 * 1j, 2 ** -0.5]),
+    ])
+    def test_norm_overflow_normalizes(self, amps, want):
+        # the norm of the amplitudes overflows float64, that of the
+        # amplitudes scaled by a power of two does not
+        np.testing.assert_allclose(StateVector(amps).amps, want, rtol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-16])
+    def test_zero_norm_is_the_true_norm(self, scale):
+        # scaling up a tiny state does not rescue it from the zero rule
+        with pytest.raises(ValueError, match="numerically zero"):
+            StateVector([scale, scale])
+        assert StateVector([1e-15, 1e-15]).dim == 2
 
     def test_large_finite_norm_keeps_its_bits(self):
         amps = np.array([3e153, 4e153j])

@@ -26,6 +26,7 @@ from weakmeas.oracle import (
     _pick_branch,
     _sample,
     _Tally,
+    _thresholds,
 )
 from weakmeas.protocol import (
     EmptyPostselectionError,
@@ -441,6 +442,22 @@ def edges_and_total(marginal):
     return cum[:-1], cum[-1]
 
 
+K_END = 2 ** 53               # every draw k is below it
+
+
+def philox_draws(seed, n):
+    """n draws k: the top 53 bits of Philox words, as int64."""
+    words = _philox_generator(seed, 0).bit_generator.random_raw(n)
+    return (words >> np.uint64(11)).view(np.int64)
+
+
+def acceptance_probabilities(table):
+    """joint / marginal, 0 where the marginal is, as the reference
+    sampler computes it."""
+    values, marginal, joint = table
+    return np.where(marginal > 0, joint / np.maximum(marginal, 1e-300), 0.0)
+
+
 def assert_same_run(got, want, n):
     """The chunked run has the reference's counts, the count estimator's
     bits on those counts, and the whole-array estimate to 1e-12."""
@@ -474,8 +491,8 @@ class TestChunkedSampler:
         assert sizes == [2, 3, 9, 70, 1024]
         assert SCAN_MAX_BRANCHES in range(10, 70)
         # the first three are scanned, the last two use a guide table
-        guided = [_guide_table(*edges_and_total(chunk_test_table(kind)
-                                                .marginal)) is not None
+        guided = [_guide_table(_thresholds(*edges_and_total(
+                      chunk_test_table(kind).marginal))) is not None
                   for kind in KINDS]
         assert guided == [False, False, False, True, True]
         for kind in ("ties5", "ties51"):
@@ -494,21 +511,25 @@ class TestChunkedSampler:
 
     @pytest.mark.parametrize("kind", PICK_KINDS)
     def test_pick_matches_searchsorted(self, kind):
-        # uniforms, 0, every edge and its predecessor, and total itself:
-        # an x * scale that rounds up to nb must still find a cell
+        # Philox draws, the least and the greatest draw, and every
+        # threshold and its predecessor; the oracle is searchsorted on
+        # each draw's scaled uniform
         edges, total = edges_and_total(pick_test_marginal(kind))
-        guide = _guide_table(edges, total)
+        thresholds = _thresholds(edges, total)
+        guide = _guide_table(thresholds)
         assert guide is not None
-        u = _philox_generator(5, 0).random(2 ** 14)
-        x = np.concatenate([u * total, [0.0, total, np.nextafter(total, 0)],
-                            edges, np.nextafter(edges, 0)])
-        want = np.searchsorted(edges, x, side="right")
-        np.testing.assert_array_equal(_pick_branch(edges, x, guide), want)
+        k = np.concatenate([philox_draws(5, 2 ** 14), [0, K_END - 1],
+                            thresholds, thresholds - 1])
+        k = k[(k >= 0) & (k < K_END)]
+        want = np.searchsorted(edges, k * 2.0 ** -53 * total, side="right")
+        np.testing.assert_array_equal(_pick_branch(thresholds, k, guide),
+                                      want)
         # a wrong start, below or above the branch, costs time, never
         # the result
         for wrong in (0, edges.size):
             lost = guide._replace(start=np.full_like(guide.start, wrong))
-            np.testing.assert_array_equal(_pick_branch(edges, x, lost), want)
+            np.testing.assert_array_equal(
+                _pick_branch(thresholds, k, lost), want)
 
     @pytest.mark.parametrize("n, offset", [(RUN_TRIALS, 0),
                                            (RUN_TRIALS + 1, 0),
@@ -580,7 +601,8 @@ class TestMaskTally:
     def test_matches_reference_and_shared_pass(self, table, other, n, seed,
                                                offset):
         for t in (table, other):
-            assert _guide_table(*edges_and_total(t.marginal)) is None
+            assert _guide_table(_thresholds(*edges_and_total(t.marginal))) \
+                is None
         alone = [_sample([t], n, seed, offset)[0] for t in (table, other)]
         np.testing.assert_array_equal(
             alone[0].counts,
@@ -593,20 +615,103 @@ class TestMaskTally:
               deadline=None)
     @given(scanned_tables())
     def test_x_on_edges_and_at_total(self, table):
-        # x on every edge and just below it, 0, and x = total itself,
-        # which falls in the last branch; every other trial's acceptance
-        # uniform equals its branch's acceptance probability, and fails
+        # draws on every threshold and just below it, 0, and 2^53 - 1,
+        # whose x = (1 - 2^-53) total can round up to total and falls in
+        # the last branch; acceptance draws sit on their branch's C_j and
+        # fail, or just below it and pass
         edges, total = edges_and_total(table.marginal)
-        u0 = np.concatenate([[0.0, 1.0], edges / total,
-                             np.nextafter(edges / total, 0)])
         tally = _Tally(table)
-        gi = np.searchsorted(edges, u0 * total, side="right")
-        u1 = _philox_generator(3, 0).random(u0.size)
-        u1[::2] = tally.cond[gi[::2]]
-        tally.add(u0, u1)
-        ok = u1 < tally.cond[gi]
+        k0 = np.concatenate([[0, K_END - 1], tally.thresholds,
+                             tally.thresholds - 1])
+        k0 = k0[(k0 >= 0) & (k0 < K_END)]
+        gi = np.searchsorted(edges, k0 * 2.0 ** -53 * total, side="right")
+        k1 = philox_draws(3, k0.size)
+        k1[::3] = tally.accept[gi[::3]]
+        k1[1::3] = np.maximum(tally.accept[gi[1::3]] - 1, 0)
+        k1 = np.minimum(k1, K_END - 1)
+        tally.add(k0, k1)
+        ok = k1 * 2.0 ** -53 < acceptance_probabilities(table)[gi]
         want = np.bincount(2 * gi + ~ok, minlength=2 * len(table.values))
         np.testing.assert_array_equal(tally.counts, want)
+
+
+@st.composite
+def threshold_tables(draw):
+    """A table of 1 to 40 branches whose marginals run from 1e-300 to 1,
+    scaled to a total that is rarely 1. Zero marginals repeat edges, and
+    a zero last marginal puts an edge on total itself. Acceptance
+    probabilities are 0, 1 or any."""
+    k = draw(st.integers(1, 40))
+    marginal = np.array(draw(st.lists(st.just(0.0) | st.floats(1e-300, 1.0),
+                                      min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        marginal[-1] = 0.0
+    if not marginal.any():
+        marginal[0] = 1.0
+    marginal *= draw(st.sampled_from([1.0, 3.0, 1e-5, 7.7])
+                     | st.floats(1e-3, 1e3))
+    cond = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                         min_size=k, max_size=k))
+    return OutcomeTable(np.arange(k, dtype=float), marginal,
+                        marginal * np.array(cond))
+
+
+def scaled(k, total):
+    """x = fl(fl(k 2^-53) total), the sampler's scaled uniform of k."""
+    return np.asarray(k) * 2.0 ** -53 * total
+
+
+class TestThresholds:
+    """Each float test of a trial has an integer threshold: x >= edge
+    exactly when k >= K, and u1 < cond exactly when k1 < C."""
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(threshold_tables())
+    def test_float_test_fails_below_and_passes_at_each_threshold(self,
+                                                                  table):
+        edges, total = edges_and_total(table.marginal)
+        tally = _Tally(table)
+        big, small = tally.thresholds, tally.thresholds - 1
+        assert ((0 <= big) & (big <= K_END)).all()
+        # K = 2^53 says that no draw passes
+        inside = big < K_END
+        assert (scaled(big[inside], total) >= edges[inside]).all()
+        assert not (scaled(K_END - 1, total) >= edges[~inside]).any()
+        assert not (scaled(small[big > 0], total) >= edges[big > 0]).any()
+        cond, accept = acceptance_probabilities(table), tally.accept
+        assert ((0 <= accept) & (accept <= K_END)).all()
+        assert (scaled(accept - 1, 1.0)[accept > 0] < cond[accept > 0]).all()
+        assert not (scaled(accept, 1.0)[accept < K_END]
+                    < cond[accept < K_END]).any()
+
+    @pytest.mark.parametrize("edges, total", [
+        ([np.nan, np.nan], np.nan),
+        ([0.5, np.inf], np.inf),
+        ([np.inf, np.inf], np.inf),
+        ([1e-320, 2e-320], 5e-320),
+        ([0.0, 0.0], 0.0),
+        ([0.0, 1.0], 1.0),
+    ])
+    def test_non_finite_and_tiny_tables_are_searched_in_bounds(self, edges,
+                                                              total):
+        # the window misses on such tables, and the bounded bisection
+        # finds the least passing draw, 2^53 where none passes
+        edges = np.array(edges)
+        with np.errstate(invalid="ignore"):
+            got = _thresholds(edges, total)
+            for edge, k in zip(edges, got):
+                passing = [j for j in (0, 1, 2, k - 1, k, K_END - 1)
+                           if 0 <= j < K_END and scaled(j, total) >= edge]
+                assert k == min(passing, default=K_END)
+
+    def test_draws_are_the_generator_uniforms(self):
+        # trial i's draws are the top 53 bits of words 0 and 1 of counter
+        # block i, the bits Generator.random turns into k 2^-53
+        words = _philox_generator(7, 99).bit_generator.random_raw(4000)
+        k = (words.reshape(-1, 4)[:, :2] >> np.uint64(11)).astype(float)
+        u = _philox_generator(7, 99).random((1000, 4))[:, :2]
+        np.testing.assert_array_equal(k * 2.0 ** -53, u)
 
 
 @st.composite

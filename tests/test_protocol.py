@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakmeas.hilbert import (
+    IMAG_TOL,
     DimensionMismatchError,
     Observable,
     StateVector,
@@ -699,6 +700,24 @@ class TestEpsSweep:
         unconditional_limit(record)
         disturbance(record)
         assert calls == list(DEFAULT_EPS)
+
+    def test_residue_scales_with_the_meter(self):
+        # at rho 1e8 the roundoff of <r, Br> and of N = <w, Bw> grows
+        # with |B|, far past IMAG_TOL times their real parts; the bounds
+        # |v| |Bv| scale each check, and no value moves
+        setup = WeakSetup(Observable(1e4 * SZ), StateVector([1, 1]),
+                          StateVector([1, 0.5]), qubit_meter(1e8))
+        record = eps_sweep(setup)
+        conditional = record.conditional_expectations()
+        assert any(abs(n.imag) > IMAG_TOL * max(1.0, abs(n.real))
+                   for n in record.moments)
+        for i, eps in enumerate(record.eps_values):
+            r = coupled_state(setup, eps)
+            assert record.readings[i] == (
+                np.vdot(r, setup.meter.apply_B(r)).real / eps)
+            assert abs(record.moments[i]) <= record.moment_bounds[i]
+            assert conditional[i] == (record.moments[i].real
+                                      / record.probabilities[i])
 
     def test_undefined_and_empty_postselection_do_not_raise(self):
         for f in (StateVector([0, 1]), StateVector([1e-11, 1.0])):
