@@ -16,11 +16,15 @@ sharded as [0, k) + [k, n) therefore reproduces the serial run [0, n)
 bit for bit, for any split points: the shards' counts add up to the
 serial counts, and an estimate is a function of those counts alone.
 Trials are drawn CHUNK_TRIALS at a time, 512 KiB of raw words that fit a
-typical L2 cache, so memory is O(CHUNK_TRIALS) for any trial count. One
-pass may sample several tables: each reads the same draws, so each run
-equals its one-table run on the same seed and offset bit for bit, and
-runs of one pass use common random numbers and are correlated
-(``monte_carlo_pair``, which ``compare`` uses, is such a pass).
+typical L2 cache. A run of 2^20 trials or more, when two CPUs are usable,
+is drawn as two such shards on two threads, each from its own Philox;
+by the same contract its counts and estimates do not depend on the
+worker count. Memory is O(CHUNK_TRIALS) per worker for any trial count,
+with at most two chunks in flight. One pass may sample several tables:
+each reads the same draws, so each run equals its one-table run on the
+same seed and offset bit for bit, and runs of one pass use common random
+numbers and are correlated (``monte_carlo_pair``, which ``compare``
+uses, is such a pass).
 
 A trial's branch is the number of cumulative marginals at or below its
 scaled uniform x = fl(k0 2^-53 total), and it passes the postselection
@@ -43,6 +47,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,6 +59,13 @@ from .protocol import OutcomeTable, WeakSetup, coupled_state, projective_tables
 
 CHUNK_TRIALS = 2 ** 14        # trials per pass: 512 KiB of Philox words
 SCAN_MAX_BRANCHES = 12        # larger tables pick branches by guide table
+# Threads draw a run's shards. At most two: each holds a chunk, and four
+# (CI runners have four CPUs) trace 2.3 MiB at 3e6 trials, past the
+# 2 MiB that TestBoundedMemory allows. Only runs of 2^20 trials or more:
+# threads on the grid meter's 1e5-trial samples slowed the ops around
+# them (ROADMAP, Measured and dropped).
+MAX_WORKERS = 2
+THREAD_MIN_CHUNKS = 64
 _K_END = 2 ** 53              # every draw k is below it
 
 
@@ -270,26 +283,103 @@ def _pick_branch(thresholds: np.ndarray, k: np.ndarray,
     return gi
 
 
+def _workers(n_trials: int) -> int:
+    """How many threads draw a run of n_trials: 2 for a run of at least
+    THREAD_MIN_CHUNKS full chunks when two CPUs are usable, else 1."""
+    if n_trials < THREAD_MIN_CHUNKS * CHUNK_TRIALS:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:        # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
+
+
+def _draw(bits: np.random.BitGenerator, tallies: list[_Tally],
+          n_trials: int, stop: threading.Event,
+          lock: threading.Lock) -> None:
+    """Tally n_trials consecutive trials of bits' stream, CHUNK_TRIALS at
+    a time, until done or until another shard sets stop.
+
+    Only the draw runs outside ``lock``. A tally is many short numpy
+    calls, each of which lets go of the GIL; when two threads' tallies
+    interleave, the GIL changes hands at each call, and a 2^14-trial
+    projective tally took about 3x as long as on one thread.
+    """
+    for start in range(0, n_trials, CHUNK_TRIALS):
+        if stop.is_set():
+            return
+        m = min(CHUNK_TRIALS, n_trials - start)
+        words = bits.random_raw(4 * m).reshape(m, 4)
+        with lock:
+            # the top 53 bits of a word: Generator.random's u is k 2^-53
+            k0, k1 = ((words[:, i] >> np.uint64(11)).view(np.int64)
+                      for i in (0, 1))
+            # each chunk is freed before the next is drawn, so a worker
+            # holds one chunk's words or draws, never two
+            del words
+            for tally in tallies:
+                tally.add(k0, k1)
+            del k0, k1
+
+
 def _sample(tables: list[OutcomeTable], n_trials: int, seed: int,
             trial_offset: int) -> list[MonteCarloRun]:
     """Draw numbered trials from each table, CHUNK_TRIALS at a time: each
     trial picks an eigenspace with its Born probability, then passes the
     postselection with the conditional probability joint / marginal.
     Every table reads the same draws, so each run equals its one-table
-    run bit for bit."""
+    run bit for bit.
+
+    A long run is split into contiguous shards of whole chunks, one per
+    worker: the calling thread draws the first, and a thread each the
+    rest, each from its own Philox advanced to its first trial and into
+    its own tallies. The shards' counts are added, so the run does not
+    depend on the worker count. No thread outlives the call: when a
+    shard raises, the others stop at their next chunk and are joined,
+    and the exception reaches the caller.
+    """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    bits = _philox_generator(seed, trial_offset).bit_generator
-    tallies = [_Tally(table) for table in tables]
-    for start in range(0, n_trials, CHUNK_TRIALS):
-        m = min(CHUNK_TRIALS, n_trials - start)
-        words = bits.random_raw(4 * m).reshape(m, 4)
-        # the top 53 bits of a word: Generator.random's u is k 2^-53
-        k0, k1 = ((words[:, i] >> np.uint64(11)).view(np.int64)
-                  for i in (0, 1))
-        for tally in tallies:
-            tally.add(k0, k1)
-    return [tally.run(n_trials, seed) for tally in tallies]
+    # the seed and offset are refused before any thread starts
+    _philox_generator(seed, trial_offset)
+    chunks = -(-n_trials // CHUNK_TRIALS)
+    workers = _workers(n_trials)
+    bounds = [min(w * chunks // workers * CHUNK_TRIALS, n_trials)
+              for w in range(workers + 1)]
+    shards = [(_philox_generator(seed, int(trial_offset) + lo).bit_generator,
+               [_Tally(table) for table in tables], hi - lo)
+              for lo, hi in zip(bounds, bounds[1:])]
+    stop, lock, errors = threading.Event(), threading.Lock(), []
+
+    def draw(shard):
+        # a worker's exception is raised again in the caller
+        try:
+            _draw(*shard, stop, lock)
+        except BaseException as exc:
+            stop.set()
+            errors.append(exc)
+
+    threads = [threading.Thread(target=draw, args=(shard,))
+               for shard in shards[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        _draw(*shards[0], stop, lock)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    runs = []
+    for first, *rest in zip(*(tallies for _, tallies, _ in shards)):
+        for tally in rest:
+            first.counts += tally.counts
+        runs.append(first.run(n_trials, seed))
+    return runs
 
 
 def monte_carlo_run(setup: WeakSetup, eps: float, n_trials: int, seed: int,

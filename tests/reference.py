@@ -274,14 +274,22 @@ def branch_disturbance(setup, eps, b=None):
     return trace_distance(DensityMatrix(post).entries, initial.entries)
 
 
+def cauchy_schwarz(v, bv):
+    """|v| |Bv|, the bound on |<v, Bv>| that scales its roundoff: at a
+    large rho the imaginary residue of a reading grows with |B|, not
+    with the reading."""
+    return float(np.linalg.norm(v) * np.linalg.norm(bv))
+
+
 def meter_reading(setup, eps):
     """Normalized average meter reading <r, (I (x) B) r> / eps at one eps."""
     if eps <= 0:
         raise ValueError("meter reading requires eps > 0")
     r = coupled_state(setup, eps)
     # (I (x) B) acts on the meter index of each row
-    val = complex(np.vdot(r, setup.meter.apply_B(r)))
-    return real_part(val, "meter reading") / eps
+    br = setup.meter.apply_B(r)
+    val = complex(np.vdot(r, br))
+    return real_part(val, "meter reading", cauchy_schwarz(r, br)) / eps
 
 
 def conditional_expectation(setup, eps):
@@ -296,8 +304,9 @@ def conditional_expectation(setup, eps):
         raise EmptyPostselectionError(
             f"postselection probability {den:.3e} is numerically zero"
         )
-    num = complex(np.vdot(w, setup.meter.apply_B(w)))
-    return real_part(num, "conditional reading") / den
+    bw = setup.meter.apply_B(w)
+    num = complex(np.vdot(w, bw))
+    return real_part(num, "conditional reading", cauchy_schwarz(w, bw)) / den
 
 
 def disturbance(setup, eps):

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,9 +20,11 @@ from weakmeas.oracle import (
     monte_carlo_run,
     projective_A_oracle,
 )
+import weakmeas.oracle as oracle
 from weakmeas.oracle import (
     CHUNK_TRIALS,
     SCAN_MAX_BRANCHES,
+    THREAD_MIN_CHUNKS,
     _branch_tables,
     _guide_table,
     _philox_generator,
@@ -27,6 +32,7 @@ from weakmeas.oracle import (
     _sample,
     _Tally,
     _thresholds,
+    _workers,
 )
 from weakmeas.protocol import (
     EmptyPostselectionError,
@@ -572,6 +578,90 @@ class TestChunkedSampler:
             full.table.values, merged[:, 0], n, seed) == full.estimate
 
 
+# past the least run drawn by threads, by a last chunk of 7 trials
+THREADED_TRIALS = THREAD_MIN_CHUNKS * CHUNK_TRIALS + 7
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(oracle, "_workers", lambda n_trials: workers)
+
+
+class TestThreadedSampler:
+    """A run of THREAD_MIN_CHUNKS chunks or more is drawn as contiguous
+    shards on threads; the shards' counts must add up to the one-worker
+    run whatever the worker count, and no thread may outlive the call."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("offset", [0, 12_345])
+    def test_worker_count_never_moves_a_count(self, monkeypatch, kind,
+                                              offset):
+        table = chunk_test_table(kind)
+        n = THREADED_TRIALS
+        force_workers(monkeypatch, 1)
+        serial, = _sample([table], n, SEED, offset)
+        assert_same_run(serial, reference.sample_table(table, n, SEED,
+                                                       offset), n)
+        # three workers share two CPUs or fewer, and threads switch often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (2, 3):
+                force_workers(monkeypatch, workers)
+                got, = _sample([table], n, SEED, offset)
+                np.testing.assert_array_equal(got.counts, serial.counts)
+                assert got.estimate == serial.estimate
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pair_matches_one_table_runs(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        setup = random_setup(np.random.default_rng(12), 4)
+        eps, n, seed = 1e-1, THREADED_TRIALS, 91
+        meter, proj = monte_carlo_pair(setup, eps, n, seed, trial_offset=7)
+        alone = monte_carlo_run(setup, eps, n, seed, trial_offset=7)
+        np.testing.assert_array_equal(meter.counts, alone.counts)
+        assert meter.estimate == alone.estimate
+        assert proj.estimate == projective_A_oracle(
+            setup.A, setup.s, setup.f, n, seed, trial_offset=7)
+
+    @pytest.mark.parametrize("failing", [None, "worker", "caller"])
+    def test_no_thread_outlives_a_call(self, monkeypatch, failing):
+        force_workers(monkeypatch, 2)
+        caller, real_add = threading.get_ident(), _Tally.add
+
+        def add(tally, k0, k1):
+            on_caller = threading.get_ident() == caller
+            if failing == ("caller" if on_caller else "worker"):
+                raise RuntimeError(f"{failing} failed")
+            real_add(tally, k0, k1)
+
+        monkeypatch.setattr(_Tally, "add", add)
+        before = threading.active_count()
+        table = chunk_test_table("qubit")
+        if failing is None:
+            _sample([table], THREADED_TRIALS, SEED, 0)
+        else:
+            with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
+                _sample([table], THREADED_TRIALS, SEED, 0)
+        assert threading.active_count() == before
+
+    def test_two_workers_from_the_chunk_floor_on_two_cpus(self,
+                                                          monkeypatch):
+        floor = THREAD_MIN_CHUNKS * CHUNK_TRIALS
+        for cpus, workers in ((1, 1), (2, 2), (4, 2)):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+            assert _workers(floor - 1) == 1
+            assert _workers(floor) == workers
+            assert _workers(3_000_000) == workers
+        # where there is no affinity call, the CPU count is read
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, workers in ((None, 1), (1, 1), (2, 2), (8, 2)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert _workers(3_000_000) == workers
+            assert _workers(floor - 1) == 1
+
+
 @st.composite
 def scanned_tables(draw):
     """A table of 1 to SCAN_MAX_BRANCHES branches, so it is scanned. Some
@@ -783,6 +873,12 @@ class TestBoundedMemory:
                            3_000_000, 1) < 2 * MIB
         assert traced_peak(monte_carlo_pair, setup, 1e-2, 3_000_000, 1) \
             < 2 * MIB
+
+    def test_peak_below_2_mib_at_3e6_trials_on_two_workers(self,
+                                                            monkeypatch):
+        # the bound holds on the threaded path, whatever the host's CPUs
+        force_workers(monkeypatch, 2)
+        self.test_peak_below_2_mib_at_3e6_trials()
 
     def test_peak_does_not_grow_with_trial_count(self):
         setup = canonical_setup(50.0)

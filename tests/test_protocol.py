@@ -685,6 +685,13 @@ class TestEpsSweep:
                               gaussian_grid_meter(grid, rho))
             self.check_against_reference(setup, EpsSchedule.default())
 
+    def test_matches_single_eps_formulas_at_a_large_rho(self):
+        # the imaginary residue of each reading grows with |B| at rho 1e8;
+        # both codes scale their checks by |v| |Bv|, computed apart
+        setup = WeakSetup(Observable(1e4 * SZ), StateVector([1, 1]),
+                          StateVector([1, 0.5]), qubit_meter(1e8))
+        self.check_against_reference(setup, EpsSchedule.default())
+
     def test_one_coupled_state_per_eps(self, monkeypatch):
         import weakmeas.protocol as protocol
         calls = []
