@@ -467,11 +467,7 @@ def run_weak_value(config: ExperimentConfig):
     report = weak_value_report(eps_sweep(config.setup(), config.schedule))
     row = ResultRow(scenario="weak-value", rho=config.meter.rho,
                     **_weak_value_fields(report))
-    return [row], {
-        "closed_minus_numeric": None if report.numeric is None
-        else report.closed_form - report.numeric,
-        "rho_effective": report.coupling_moment.real,
-    }
+    return [row], {"rho_effective": report.coupling_moment.real}
 
 
 def run_sweep_rho(config: ExperimentConfig):
@@ -521,9 +517,7 @@ def run_limit_check(config: ExperimentConfig):
               if d1 > 1e-13 and d2 > 1e-13]
     return rows, {
         "analytic_average": target,
-        "extrapolated_limit": limit,
         "abs_error": abs(limit - target),
-        "per_eps_abs_error": errs,
         "empirical_order": (sum(orders) / len(orders)) if orders else None,
     }
 
@@ -563,11 +557,7 @@ def run_disturbance(config: ExperimentConfig):
                       disturbance=d) for e, d in kicks]
     slopes = [d / e for e, d in kicks]
     ratios = [b / a for a, b in zip(slopes, slopes[1:]) if a > 0]
-    return rows, {
-        "slopes": slopes,
-        "successive_slope_ratios": ratios,
-        "max_slope": max(slopes),
-    }
+    return rows, {"slopes": slopes, "successive_slope_ratios": ratios}
 
 
 def run_aav_grid(config: ExperimentConfig):

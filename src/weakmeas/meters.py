@@ -21,6 +21,9 @@ DEFAULT_N_POINTS = 1024
 DEFAULT_HALF_WIDTH = 20.0
 #: Largest grid accepted: a coupled state on it is a few tens of MB.
 MAX_N_POINTS = 2 ** 20
+#: Least distance, in Gaussian widths, from a shifted pointer to the grid
+#: edge: at 8 a readout on the default grid moves by at most 4.2e-13.
+EDGE_MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,10 @@ class GridSpec:
     n_points >= 128 and L >= 10 in units of the Gaussian width; outside
     it the meter moments degrade and gaussian_grid_meter reports the
     damage as a CalibrationError instead of refusing up front, so the
-    failure mode stays observable.
+    failure mode stays observable. The coupling shifts the pointer by
+    t = eps a for each eigenvalue a of A, and the grid is periodic, so
+    a shift with L - max |t| < EDGE_MARGIN = 8 is refused with a
+    ValueError: the tail wrapped to the far edge would move the readout.
     """
 
     n_points: int
@@ -195,6 +201,13 @@ class GridMeter:
         if not np.isfinite(chirp).all():
             raise ValueError("grid meter phases overflow float64: eps |A| "
                              "is far outside the weak regime")
+        shift = np.abs(t).max(initial=0.0)
+        if self.grid.half_width - shift < EDGE_MARGIN:
+            raise ValueError(
+                f"grid meter pointer shift eps |A| = {shift:.6g} exceeds "
+                f"half_width - {EDGE_MARGIN} = "
+                f"{self.grid.half_width - EDGE_MARGIN:g}: the Gaussian would "
+                f"wrap around the periodic grid")
         kicked = np.fft.ifft(np.exp(-1j * t * self._k) * np.fft.fft(v))
         return np.exp(1j * chirp) * kicked
 

@@ -17,14 +17,15 @@ bit for bit, for any split points: the shards' counts add up to the
 serial counts, and an estimate is a function of those counts alone.
 Trials are drawn CHUNK_TRIALS at a time, 512 KiB of raw words that fit a
 typical L2 cache. A run of 2^20 trials or more, when two CPUs are usable,
-is drawn as two such shards on two threads, each from its own Philox;
-by the same contract its counts and estimates do not depend on the
-worker count. Memory is O(CHUNK_TRIALS) per worker for any trial count,
-with at most two chunks in flight. One pass may sample several tables:
-each reads the same draws, so each run equals its one-table run on the
-same seed and offset bit for bit, and runs of one pass use common random
-numbers and are correlated (``monte_carlo_pair``, which ``compare``
-uses, is such a pass).
+is drawn as two such shards on two threads, each from its own Philox.
+Shards only draw: one tally per table counts every chunk, one chunk at a
+time under the run's lock, so by the same contract the counts and
+estimates do not depend on the worker count. Memory is O(CHUNK_TRIALS)
+per worker for any trial count, with at most two chunks in flight. One
+pass may sample several tables: each reads the same draws, so each run
+equals its one-table run on the same seed and offset bit for bit, and
+runs of one pass use common random numbers and are correlated
+(``monte_carlo_pair``, which ``compare`` uses, is such a pass).
 
 A trial's branch is the number of cumulative marginals at or below its
 scaled uniform x = fl(k0 2^-53 total), and it passes the postselection
@@ -295,34 +296,6 @@ def _workers(n_trials: int) -> int:
     return min(cpus, MAX_WORKERS)
 
 
-def _draw(bits: np.random.BitGenerator, tallies: list[_Tally],
-          n_trials: int, stop: threading.Event,
-          lock: threading.Lock) -> None:
-    """Tally n_trials consecutive trials of bits' stream, CHUNK_TRIALS at
-    a time, until done or until another shard sets stop.
-
-    Only the draw runs outside ``lock``. A tally is many short numpy
-    calls, each of which lets go of the GIL; when two threads' tallies
-    interleave, the GIL changes hands at each call, and a 2^14-trial
-    projective tally took about 3x as long as on one thread.
-    """
-    for start in range(0, n_trials, CHUNK_TRIALS):
-        if stop.is_set():
-            return
-        m = min(CHUNK_TRIALS, n_trials - start)
-        words = bits.random_raw(4 * m).reshape(m, 4)
-        with lock:
-            # the top 53 bits of a word: Generator.random's u is k 2^-53
-            k0, k1 = ((words[:, i] >> np.uint64(11)).view(np.int64)
-                      for i in (0, 1))
-            # each chunk is freed before the next is drawn, so a worker
-            # holds one chunk's words or draws, never two
-            del words
-            for tally in tallies:
-                tally.add(k0, k1)
-            del k0, k1
-
-
 def _sample(tables: list[OutcomeTable], n_trials: int, seed: int,
             trial_offset: int) -> list[MonteCarloRun]:
     """Draw numbered trials from each table, CHUNK_TRIALS at a time: each
@@ -333,11 +306,14 @@ def _sample(tables: list[OutcomeTable], n_trials: int, seed: int,
 
     A long run is split into contiguous shards of whole chunks, one per
     worker: the calling thread draws the first, and a thread each the
-    rest, each from its own Philox advanced to its first trial and into
-    its own tallies. The shards' counts are added, so the run does not
-    depend on the worker count. No thread outlives the call: when a
-    shard raises, the others stop at their next chunk and are joined,
-    and the exception reaches the caller.
+    rest, each from its own Philox advanced to its first trial. Shards
+    only draw. One tally per table counts every chunk under the run's
+    lock, and integer counts add the same in any order, so the run does
+    not depend on the worker count. Only the draw runs outside the lock:
+    a tally is many short numpy calls, each of which lets go of the GIL,
+    and two threads' tallies interleaved took about 3x as long. No thread
+    outlives the call: when a shard raises, the others stop at their next
+    chunk and are joined, and the exception reaches the caller.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
@@ -347,25 +323,41 @@ def _sample(tables: list[OutcomeTable], n_trials: int, seed: int,
     workers = _workers(n_trials)
     bounds = [min(w * chunks // workers * CHUNK_TRIALS, n_trials)
               for w in range(workers + 1)]
-    shards = [(_philox_generator(seed, int(trial_offset) + lo).bit_generator,
-               [_Tally(table) for table in tables], hi - lo)
-              for lo, hi in zip(bounds, bounds[1:])]
+    tallies = [_Tally(table) for table in tables]
     stop, lock, errors = threading.Event(), threading.Lock(), []
 
-    def draw(shard):
+    def draw(lo, hi):
+        bits = _philox_generator(seed, int(trial_offset) + lo).bit_generator
+        for start in range(lo, hi, CHUNK_TRIALS):
+            if stop.is_set():
+                return
+            m = min(CHUNK_TRIALS, hi - start)
+            words = bits.random_raw(4 * m).reshape(m, 4)
+            with lock:
+                # the top 53 bits of a word: Generator.random's u is k 2^-53
+                k0, k1 = ((words[:, i] >> np.uint64(11)).view(np.int64)
+                          for i in (0, 1))
+                # each chunk is freed before the next is drawn, so a
+                # worker holds one chunk's words or draws, never two
+                del words
+                for tally in tallies:
+                    tally.add(k0, k1)
+                del k0, k1
+
+    def worker(lo, hi):
         # a worker's exception is raised again in the caller
         try:
-            _draw(*shard, stop, lock)
+            draw(lo, hi)
         except BaseException as exc:
             stop.set()
             errors.append(exc)
 
-    threads = [threading.Thread(target=draw, args=(shard,))
-               for shard in shards[1:]]
+    threads = [threading.Thread(target=worker, args=shard)
+               for shard in zip(bounds[1:], bounds[2:])]
     for thread in threads:
         thread.start()
     try:
-        _draw(*shards[0], stop, lock)
+        draw(bounds[0], bounds[1])
     except BaseException:
         stop.set()
         raise
@@ -374,12 +366,7 @@ def _sample(tables: list[OutcomeTable], n_trials: int, seed: int,
             thread.join()
     if errors:
         raise errors[0]
-    runs = []
-    for first, *rest in zip(*(tallies for _, tallies, _ in shards)):
-        for tally in rest:
-            first.counts += tally.counts
-        runs.append(first.run(n_trials, seed))
-    return runs
+    return [tally.run(n_trials, seed) for tally in tallies]
 
 
 def monte_carlo_run(setup: WeakSetup, eps: float, n_trials: int, seed: int,

@@ -1396,6 +1396,30 @@ class TestOutOfRegimeCoupling:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflow" in err
 
+    @pytest.mark.parametrize("scenario", ["sample", "limit-check",
+                                          "weak-value", "disturbance",
+                                          "aav-grid", "compare"])
+    def test_grid_meter_refuses_a_pointer_near_the_grid_edge(
+            self, tmp_path, capsys, scenario):
+        # at eps 0.01, 2500 sigma_z shifts the pointer by 25, past the
+        # edge L = 20, and sample read -1.498 +- 0.149 against the
+        # continuum's +2.624; 1000 sigma_z shifts it by 10, 10 from the edge
+        for a, code in ((2500.0, 2), (1000.0, 0)):
+            path = tmp_path / f"edge-{a:g}.json"
+            path.write_text(json.dumps({
+                "system": {"A": [[a, 0], [0, -a]], "s": [1, 1],
+                           "f": [1, 0.9]},
+                "meter": {"kind": "grid", "rho": 0.0},
+                "mc": {"n_trials": 20000, "seed": 1}}))
+            assert main([scenario, "--config", str(path)]) == code
+            out, err = capsys.readouterr()
+            if code:
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert "wrap around the periodic grid" in err
+            else:
+                assert out and err == ""
+
     @pytest.mark.parametrize("kind, scenario", [
         *(("grid", sc) for sc in SCENARIOS), ("qubit", "aav-grid")])
     def test_grid_meter_refuses_rho_near_the_float_limit(

@@ -588,8 +588,24 @@ def force_workers(monkeypatch, workers):
 
 class TestThreadedSampler:
     """A run of THREAD_MIN_CHUNKS chunks or more is drawn as contiguous
-    shards on threads; the shards' counts must add up to the one-worker
+    shards on threads. Shards only draw: one tally per table counts every
+    chunk under the run's lock, so the counts must equal the one-worker
     run whatever the worker count, and no thread may outlive the call."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_tally_per_table_at_any_worker_count(self, monkeypatch,
+                                                      workers):
+        force_workers(monkeypatch, workers)
+        built, real_init = [], _Tally.__init__
+
+        def init(tally, table):
+            built.append(tally)
+            real_init(tally, table)
+
+        monkeypatch.setattr(_Tally, "__init__", init)
+        tables = [chunk_test_table("qubit"), chunk_test_table("projective")]
+        _sample(tables, THREADED_TRIALS, SEED, 0)
+        assert len(built) == len(tables)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("offset", [0, 12_345])
