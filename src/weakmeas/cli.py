@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .protocol import (
     WV_RTOL,
     EpsSchedule,
     WeakSetup,
-    WeakValueReport,
     _closed_form,
     check_system,
     disturbance,
@@ -427,24 +426,6 @@ def _status(value: float, ref: float, rtol: float) -> str:
     return STATUS_UNCONVERGED
 
 
-def _weak_value_fields(report: WeakValueReport) -> dict:
-    """The weak-value column family of a report; an undefined weak value
-    leaves its columns empty. The value must be within
-    WV_RTOL max(1, |closed form|)."""
-    if report.aav_complex is None:
-        return {"projective_cond": report.projective_conditional,
-                "status": STATUS_UNDEFINED}
-    return {
-        "wv_numeric": report.numeric,
-        "wv_closed": report.closed_form,
-        "wv_traditional": report.traditional,
-        "wv_aav_re": report.aav_complex.real,
-        "wv_aav_im": report.aav_complex.imag,
-        "projective_cond": report.projective_conditional,
-        "status": _status(report.numeric, report.closed_form, WV_RTOL),
-    }
-
-
 # ---------------------------------------------------------------------------
 # scenarios: each builds its setup once, sweeps the eps schedule at most
 # once per setup, and returns (rows, summary); the summary goes into JSON
@@ -462,11 +443,33 @@ def _clean(obj):
     return obj
 
 
+def _weak_value_row(scenario: str, config: ExperimentConfig,
+                    setup: WeakSetup, rho: float):
+    """The weak-value row of ``setup``, whose meter sits at ``rho``, read
+    off one sweep of the config's schedule; returns (row, report, sweep).
+    An undefined weak value leaves its columns empty, and a defined one
+    must be within WV_RTOL max(1, |closed form|)."""
+    sweep = eps_sweep(setup, config.schedule)
+    report = weak_value_report(sweep)
+    if report.aav_complex is None:
+        row = ResultRow(scenario, rho=rho,
+                        projective_cond=report.projective_conditional,
+                        status=STATUS_UNDEFINED)
+    else:
+        row = ResultRow(
+            scenario, rho=rho, wv_numeric=report.numeric,
+            wv_closed=report.closed_form, wv_traditional=report.traditional,
+            wv_aav_re=report.aav_complex.real,
+            wv_aav_im=report.aav_complex.imag,
+            projective_cond=report.projective_conditional,
+            status=_status(report.numeric, report.closed_form, WV_RTOL))
+    return row, report, sweep
+
+
 def run_weak_value(config: ExperimentConfig):
     """Every weak-value notion for one setup, side by side."""
-    report = weak_value_report(eps_sweep(config.setup(), config.schedule))
-    row = ResultRow(scenario="weak-value", rho=config.meter.rho,
-                    **_weak_value_fields(report))
+    row, report, _ = _weak_value_row("weak-value", config, config.setup(),
+                                     config.meter.rho)
     return [row], {"rho_effective": report.coupling_moment.real}
 
 
@@ -474,9 +477,7 @@ def run_sweep_rho(config: ExperimentConfig):
     """One weak-value row per rho; the measured weak value must move
     affinely in rho, with slope 2 Im<f,As>/<f,s>. The summary's line runs
     through the measured values at the least and the greatest rho."""
-    rows = [ResultRow(scenario="sweep-rho", rho=rho,
-                      **_weak_value_fields(weak_value_report(
-                          eps_sweep(config.setup(rho), config.schedule))))
+    rows = [_weak_value_row("sweep-rho", config, config.setup(rho), rho)[0]
             for rho in sorted(config.rho_values)]
     # None when the weak value is undefined; then no row has wv_closed
     aav_imag = rows[0].wv_aav_im
@@ -567,9 +568,8 @@ def run_aav_grid(config: ExperimentConfig):
     is used whatever the config's meter kind."""
     rho = config.meter.rho
     meter = gaussian_grid_meter(config.grid, rho)
-    setup = WeakSetup(config.A, config.s, config.f, meter)
-    report = weak_value_report(eps_sweep(setup, config.schedule))
-    row = ResultRow(scenario="aav-grid", rho=rho, **_weak_value_fields(report))
+    row, report, _ = _weak_value_row(
+        "aav-grid", config, WeakSetup(config.A, config.s, config.f, meter), rho)
     mom = report.coupling_moment
     m = meter.m.amps
     read = complex(np.vdot(m, meter.apply_B(m)))      # B = Q
@@ -598,23 +598,15 @@ def run_compare(config: ExperimentConfig):
     correlated; each equals its own run with the same seed bit for bit.
     """
     setup = config.setup()
-    sweep = eps_sweep(setup, config.schedule)
     # both limits first, so a schedule they cannot use draws no trial
-    fields = _weak_value_fields(weak_value_report(sweep))
+    row, _, sweep = _weak_value_row("compare", config, setup, config.meter.rho)
     uncond = unconditional_limit(sweep)
     eps = config.eps_values[0]
     run, proj_run = monte_carlo_pair(setup, eps, config.mc.n_trials,
                                      config.mc.seed)
     est = run.estimate
-    row = ResultRow(
-        scenario="compare",
-        rho=config.meter.rho,
-        eps=eps,
-        mc_mean=est.mean / eps,
-        mc_stderr=est.std_error / eps,
-        mc_n_success=est.n_success,
-        **fields,
-    )
+    row = replace(row, eps=eps, mc_mean=est.mean / eps,
+                  mc_stderr=est.std_error / eps, mc_n_success=est.n_success)
     analytic = expectation(setup.A, setup.s)
     # unconditional: every trial, passed or failed, reads the meter
     mc_uncond = EstimateWithError.from_counts(
@@ -698,11 +690,24 @@ def render_json(config, rows, summary) -> str:
 # entry point
 
 
+def _number_flag(text: str):
+    """A numeric flag as a config file would hold it: an integer literal
+    is an int, exact at any size, other numbers are floats, and the rest
+    stays text. The config's checks then take it as they take the file's
+    value."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
 # the flags that override one config key: flag -> (section, key, options)
 _FLAGS = {
-    "--rho": ("meter", "rho", {"type": float}),
-    "--trials": ("mc", "n_trials", {"type": int}),
-    "--seed": ("mc", "seed", {"type": int}),
+    "--rho": ("meter", "rho", {"type": _number_flag}),
+    "--trials": ("mc", "n_trials", {"type": _number_flag}),
+    "--seed": ("mc", "seed", {"type": _number_flag}),
     "--out": ("output", "path", {"metavar": "PATH"}),
     "--format": ("output", "format", {"choices": ("csv", "json")}),
 }

@@ -15,6 +15,9 @@ whose uniforms k 2^-53 are the values ``Generator.random`` gives. A run
 sharded as [0, k) + [k, n) therefore reproduces the serial run [0, n)
 bit for bit, for any split points: the shards' counts add up to the
 serial counts, and an estimate is a function of those counts alone.
+The counter numbers 2^256 trials, 0 to 2^256 - 1: a run whose trials
+would pass its end is refused, since Philox would wrap them around to
+trial 0.
 Trials are drawn CHUNK_TRIALS at a time, 512 KiB of raw words that fit a
 typical L2 cache. A run of 2^20 trials or more, when two CPUs are usable,
 is drawn as two such shards on two threads, each from its own Philox.
@@ -315,10 +318,17 @@ def _sample(tables: list[OutcomeTable], n_trials: int, seed: int,
     outlives the call: when a shard raises, the others stop at their next
     chunk and are joined, and the exception reaches the caller.
     """
+    # a float count would reach the shard bounds, and True would run one
+    if type(n_trials) is bool or not isinstance(n_trials, numbers.Integral):
+        raise ValueError(f"n_trials must be an integer, got {n_trials!r}")
     if n_trials < 1:
         raise ValueError("need at least one trial")
     # the seed and offset are refused before any thread starts
     _philox_generator(seed, trial_offset)
+    # trial i reads counter block i, and the counter has 2^256
+    if int(trial_offset) + int(n_trials) > 2 ** 256:
+        raise ValueError("trial_offset + n_trials must be at most 2^256, "
+                         "the Philox counter's range")
     chunks = -(-n_trials // CHUNK_TRIALS)
     workers = _workers(n_trials)
     bounds = [min(w * chunks // workers * CHUNK_TRIALS, n_trials)

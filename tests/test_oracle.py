@@ -279,8 +279,9 @@ class TestMonteCarlo:
             monte_carlo_run(canonical_setup(1.0), 0.0, 10, 1)
 
     def test_needs_a_trial(self):
-        with pytest.raises(ValueError, match="need at least one trial"):
-            monte_carlo_run(canonical_setup(1.0), 1e-2, 0, 1)
+        for n_trials in (0, -3, np.int64(0)):
+            with pytest.raises(ValueError, match="need at least one trial"):
+                monte_carlo_run(canonical_setup(1.0), 1e-2, n_trials, 1)
 
     @pytest.mark.parametrize("name, value", [
         ("seed", 7.9), ("seed", 7.0), ("seed", True), ("seed", "7"),
@@ -293,6 +294,13 @@ class TestMonteCarlo:
                             **{"seed": 7, name: value})
         assert str(exc.value) == (f"{name} must be a nonnegative integer, "
                                   f"got {value!r}")
+
+    @pytest.mark.parametrize("value", [1e5, 1000.0, 7.5, True, "1000"])
+    def test_trial_count_must_be_an_integer(self, value):
+        # a float count reached the shard bounds, and True ran one trial
+        with pytest.raises(ValueError) as exc:
+            monte_carlo_run(canonical_setup(1.0), 1e-2, value, 7)
+        assert str(exc.value) == f"n_trials must be an integer, got {value!r}"
 
     def test_numpy_integers_draw_the_python_integer_stream(self):
         setup = canonical_setup(1.0)
@@ -312,6 +320,22 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="trial_offset"):
             projective_A_oracle(Observable(SX), CIRC, E1, 10, 1,
                                 trial_offset=-1)
+
+    @pytest.mark.parametrize("sampler", [
+        lambda offset: monte_carlo_run(canonical_setup(1.0), 1e-2, 1000, 1,
+                                       trial_offset=offset),
+        lambda offset: projective_A_oracle(Observable(SX), CIRC, E1, 1000, 1,
+                                           trial_offset=offset),
+        lambda offset: monte_carlo_pair(canonical_setup(1.0), 1e-2, 1000, 1,
+                                        trial_offset=offset),
+    ], ids=["monte_carlo_run", "projective_A_oracle", "monte_carlo_pair"])
+    def test_trials_past_the_counter_rejected(self, sampler):
+        # Philox.advance wraps a range past the 256-bit counter around, so
+        # an offset of 2^256 drew the offset-0 trials
+        for offset in (2 ** 256, 2 ** 256 - 999):
+            with pytest.raises(ValueError, match="trial_offset \\+ n_trials"):
+                sampler(offset)
+        sampler(2 ** 256 - 1000)
 
     def test_chi_square_against_exact_table(self):
         setup = canonical_setup(0.0)
