@@ -8,6 +8,7 @@ coupling, Gaussian initial state).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -26,12 +27,29 @@ MAX_N_POINTS = 2 ** 20
 EDGE_MARGIN = 8
 
 
+def _typed(x, name: str, kind=numbers.Real):
+    # & and float() would take a bool, a float or a string silently, or
+    # fail with an unrelated TypeError; numpy scalars pass
+    if isinstance(x, bool) or not isinstance(x, kind):
+        what = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValueError(f"{name} must be {what}, got {x!r}")
+    return x
+
+
+def _finite_rho(rho, meter: str) -> float:
+    rho = float(_typed(rho, "rho"))
+    if not np.isfinite(rho):
+        raise CalibrationError(f"{meter} meter rho {rho!r} is not finite")
+    return rho
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid of n_points samples covering [-L, L).
 
-    n_points must be a power of two (the momentum operator is applied
-    with an FFT) and at most MAX_N_POINTS. The supported envelope is
+    n_points must be an integer power of two (the momentum operator is
+    applied with an FFT) and at most MAX_N_POINTS, and L a real number,
+    neither of them a bool. The supported envelope is
     n_points >= 128 and L >= 10 in units of the Gaussian width; outside
     it the meter moments degrade and gaussian_grid_meter reports the
     damage as a CalibrationError instead of refusing up front, so the
@@ -45,7 +63,8 @@ class GridSpec:
     half_width: float
 
     def __post_init__(self):
-        n = self.n_points
+        n = _typed(self.n_points, "n_points", numbers.Integral)
+        _typed(self.half_width, "half_width")
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two, got {n}")
         if n > MAX_N_POINTS:
@@ -87,9 +106,10 @@ def qubit_meter(rho: float) -> MeterSpec:
     <m, BGm> = rho + i/2 exactly: calibrated for every rho, with the
     weak-value-shifting real part dialed in directly. Every qubit meter
     holds the same immutable m and G objects; B is built and the
-    calibration verified for each rho.
+    calibration verified for each rho. A non-finite rho is a
+    CalibrationError.
     """
-    rho = float(rho)
+    rho = _finite_rho(rho, "qubit")
     b = Observable([[0.0, rho + 0.5j], [rho - 0.5j, 0.0]])
     meter = MeterSpec(m=_QUBIT_M, B=b, G=_QUBIT_G)
     verify_calibration(meter)
@@ -234,9 +254,7 @@ def gaussian_grid_meter(grid: GridSpec, rho: float) -> GridMeter:
     vectors and FFTs (see GridMeter), so building and using it never
     forms an n x n matrix.
     """
-    meter = GridMeter(grid, float(rho))
-    if not np.isfinite(meter.rho):
-        raise CalibrationError(f"grid meter rho {meter.rho!r} is not finite")
+    meter = GridMeter(grid, _finite_rho(rho, "grid"))
     try:
         # rho q overflows near |rho| = 1e307; the NaN gain then fails
         with np.errstate(over="ignore", invalid="ignore"):

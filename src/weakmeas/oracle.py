@@ -308,15 +308,16 @@ def _sample(tables: list[OutcomeTable], n_trials: int, seed: int,
     run bit for bit.
 
     A long run is split into contiguous shards of whole chunks, one per
-    worker: the calling thread draws the first, and a thread each the
-    rest, each from its own Philox advanced to its first trial. Shards
-    only draw. One tally per table counts every chunk under the run's
-    lock, and integer counts add the same in any order, so the run does
-    not depend on the worker count. Only the draw runs outside the lock:
-    a tally is many short numpy calls, each of which lets go of the GIL,
-    and two threads' tallies interleaved took about 3x as long. No thread
-    outlives the call: when a shard raises, the others stop at their next
-    chunk and are joined, and the exception reaches the caller.
+    worker, each from its own Philox advanced to its first trial. The
+    caller's shard is one more shard, drawn by the code that draws each
+    thread's. Shards only draw. One tally per table counts every chunk
+    under the run's lock, and integer counts add the same in any order,
+    so the run does not depend on the worker count. Only the draw runs
+    outside the lock: a tally is many short numpy calls, each of which
+    lets go of the GIL, and two threads' tallies interleaved took about
+    3x as long. No thread outlives the call: a shard that raises appends
+    to the run's error list, which stops every shard at its next chunk,
+    and the first error is raised once all threads are joined.
     """
     # a float count would reach the shard bounds, and True would run one
     if type(n_trials) is bool or not isinstance(n_trials, numbers.Integral):
@@ -334,46 +335,39 @@ def _sample(tables: list[OutcomeTable], n_trials: int, seed: int,
     bounds = [min(w * chunks // workers * CHUNK_TRIALS, n_trials)
               for w in range(workers + 1)]
     tallies = [_Tally(table) for table in tables]
-    stop, lock, errors = threading.Event(), threading.Lock(), []
+    lock, errors = threading.Lock(), []
 
+    # every shard, the caller's too, runs draw; the error list is the
+    # stop signal, read before each chunk
     def draw(lo, hi):
-        bits = _philox_generator(seed, int(trial_offset) + lo).bit_generator
-        for start in range(lo, hi, CHUNK_TRIALS):
-            if stop.is_set():
-                return
-            m = min(CHUNK_TRIALS, hi - start)
-            words = bits.random_raw(4 * m).reshape(m, 4)
-            with lock:
-                # the top 53 bits of a word: Generator.random's u is k 2^-53
-                k0, k1 = ((words[:, i] >> np.uint64(11)).view(np.int64)
-                          for i in (0, 1))
-                # each chunk is freed before the next is drawn, so a
-                # worker holds one chunk's words or draws, never two
-                del words
-                for tally in tallies:
-                    tally.add(k0, k1)
-                del k0, k1
-
-    def worker(lo, hi):
-        # a worker's exception is raised again in the caller
         try:
-            draw(lo, hi)
+            bits = _philox_generator(seed,
+                                     int(trial_offset) + lo).bit_generator
+            for start in range(lo, hi, CHUNK_TRIALS):
+                if errors:
+                    return
+                m = min(CHUNK_TRIALS, hi - start)
+                words = bits.random_raw(4 * m).reshape(m, 4)
+                with lock:
+                    # a word's top 53 bits: Generator.random's u is k 2^-53
+                    k0, k1 = ((words[:, i] >> np.uint64(11)).view(np.int64)
+                              for i in (0, 1))
+                    # each chunk is freed before the next is drawn, so a
+                    # worker holds one chunk's words or draws, never two
+                    del words
+                    for tally in tallies:
+                        tally.add(k0, k1)
+                    del k0, k1
         except BaseException as exc:
-            stop.set()
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=shard)
+    threads = [threading.Thread(target=draw, args=shard)
                for shard in zip(bounds[1:], bounds[2:])]
     for thread in threads:
         thread.start()
-    try:
-        draw(bounds[0], bounds[1])
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
+    draw(bounds[0], bounds[1])
+    for thread in threads:
+        thread.join()
     if errors:
         raise errors[0]
     return [tally.run(n_trials, seed) for tally in tallies]

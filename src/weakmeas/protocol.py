@@ -372,8 +372,10 @@ def eps_sweep(setup: WeakSetup, sched: EpsSchedule = None) -> EpsSweep:
 
 
 def _norm(v: np.ndarray) -> float:
-    # BLAS vdot: an overflow reads inf without a warning
-    return math.sqrt(float(np.vdot(v, v).real))
+    # BLAS vdot of the float64 view: an overflow reads inf without a
+    # warning, where the complex vdot forms inf - inf = nan
+    x = np.ascontiguousarray(v, dtype=complex).view(np.float64)
+    return math.sqrt(float(np.vdot(x, x)))
 
 
 def unconditional_limit(sweep: EpsSweep) -> float:

@@ -1465,6 +1465,29 @@ class TestOutOfRegimeCoupling:
             else:
                 assert out and err == ""
 
+    @pytest.mark.parametrize("rho", [1e200, 1e250, 1e300, 8e307])
+    @pytest.mark.parametrize("scenario", ["weak-value", "limit-check",
+                                          "disturbance", "compare",
+                                          "sweep-rho"])
+    def test_qubit_meter_runs_at_a_huge_rho(self, tmp_path, capsys,
+                                            scenario, rho):
+        # |B r| of the complex B r read nan, not inf, past rho ~ 1e154,
+        # and the reading's roundoff was refused as an imaginary residue
+        path = tmp_path / "huge-rho.json"
+        path.write_text(json.dumps({
+            **cli._preset_data("aav100"),
+            "meter": {"kind": "qubit", "rho": rho},
+            "rho_values": [rho, -rho, 0.0],
+            "mc": {"n_trials": 2000, "seed": 1}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([scenario, "--config", str(path),
+                         "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if scenario in ("weak-value", "limit-check"):
+            assert json.loads(out)["rows"][-1]["status"] == STATUS_UNCONVERGED
+
     @pytest.mark.parametrize("kind, scenario", [
         *(("grid", sc) for sc in SCENARIOS), ("qubit", "aav-grid")])
     def test_grid_meter_refuses_rho_near_the_float_limit(

@@ -128,6 +128,44 @@ class TestGridSpec:
                 GridSpec(n, 20.0)
 
 
+SMALL_GRID = GridSpec(256, 12.0)
+
+
+class TestScalarArguments:
+    """A meter constructor refuses a bool, or a scalar of the wrong kind,
+    with a ValueError that names the argument: n_points is an integer,
+    half_width and rho are real numbers. Numpy scalars pass, and a
+    non-finite rho fails calibration on either meter alike."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        ("GridSpec(1024.0, 20.0)", ValueError, "n_points must be"),
+        ("GridSpec(np.float64(256), 12.0)", ValueError, "n_points must be"),
+        ("GridSpec(True, 20.0)", ValueError, "n_points must be"),
+        ("GridSpec(1024, '20')", ValueError, "half_width must be"),
+        ("GridSpec(2048, True)", ValueError, "half_width must be"),
+        ("GridSpec(256, 12 + 0j)", ValueError, "half_width must be"),
+        ("qubit_meter('1')", ValueError, "rho must be"),
+        ("qubit_meter(True)", ValueError, "rho must be"),
+        ("qubit_meter(np.True_)", ValueError, "rho must be"),
+        ("gaussian_grid_meter(SMALL_GRID, '3')", ValueError, "rho must be"),
+        ("gaussian_grid_meter(SMALL_GRID, False)", ValueError, "rho must be"),
+        ("qubit_meter(math.inf)", CalibrationError,
+         "qubit meter rho inf is not finite"),
+        ("qubit_meter(math.nan)", CalibrationError,
+         "qubit meter rho nan is not finite"),
+        ("gaussian_grid_meter(SMALL_GRID, -math.inf)", CalibrationError,
+         "grid meter rho -inf is not finite"),
+        ("GridSpec(np.int64(256), np.float32(12.0))", None, None),
+        ("qubit_meter(np.int32(3))", None, None),
+        ("gaussian_grid_meter(SMALL_GRID, np.float64(3.0))", None, None),
+    ], ids=lambda x: x if isinstance(x, str) else "")
+    def test_refused_by_name(self, call, error, message):
+        if error is None:
+            eval(call)
+        else:
+            with pytest.raises(error, match=f"^{message}"):
+                eval(call)
+
 class TestPositionOperator:
     def test_diagonal_of_grid_points(self):
         g = GridSpec(128, 10.0)

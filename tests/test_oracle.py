@@ -3,6 +3,8 @@ import os
 import sys
 import threading
 import tracemalloc
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -610,11 +612,18 @@ def force_workers(monkeypatch, workers):
     monkeypatch.setattr(oracle, "_workers", lambda n_trials: workers)
 
 
+class ShardFailure(BaseException):
+    pass
+
+
 class TestThreadedSampler:
     """A run of THREAD_MIN_CHUNKS chunks or more is drawn as contiguous
-    shards on threads. Shards only draw: one tally per table counts every
+    shards, the caller's shard and one thread each for the rest, all by
+    the same code. Shards only draw: one tally per table counts every
     chunk under the run's lock, so the counts must equal the one-worker
-    run whatever the worker count, and no thread may outlive the call."""
+    run whatever the worker count. A shard's error goes on the run's
+    error list, which stops every shard at its next chunk, and no thread
+    may outlive the call."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_one_tally_per_table_at_any_worker_count(self, monkeypatch,
@@ -683,6 +692,67 @@ class TestThreadedSampler:
         else:
             with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
                 _sample([table], THREADED_TRIALS, SEED, 0)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_failed_shard_stops_the_other_at_its_next_chunk(
+            self, monkeypatch, failing):
+        # the survivor is held at its second draw until the failed shard
+        # has returned, so the error is on the list: it tallies the chunk
+        # in hand and no further one
+        force_workers(monkeypatch, 2)
+        caller = threading.get_ident()
+        error, timeout = ShardFailure(), 60.0
+        at_second_draw, failed = threading.Event(), threading.Event()
+        draws, tallied = Counter(), Counter()
+
+        def shard():
+            return "caller" if threading.get_ident() == caller else "worker"
+
+        class Bits:
+            def __init__(self, bits):
+                self.bits = bits
+
+            def random_raw(self, size):
+                draws[shard()] += 1
+                if shard() == failing:
+                    assert at_second_draw.wait(timeout)
+                    raise error
+                if draws[shard()] == 2:
+                    at_second_draw.set()
+                    assert failed.wait(timeout)
+                return self.bits.random_raw(size)
+
+        class Thread(threading.Thread):
+            # a worker's shard has returned when its run does, and the
+            # caller's once the caller joins its worker
+            def run(self):
+                super().run()
+                failed.set()
+
+            def join(self, timeout=None):
+                failed.set()
+                super().join(timeout)
+
+        real_philox, real_add = _philox_generator, _Tally.add
+
+        def philox(seed, offset):
+            bits = real_philox(seed, offset).bit_generator
+            return SimpleNamespace(bit_generator=Bits(bits))
+
+        def add(tally, k0, k1):
+            tallied[shard()] += 1
+            real_add(tally, k0, k1)
+
+        monkeypatch.setattr(oracle, "_philox_generator", philox)
+        monkeypatch.setattr(threading, "Thread", Thread)
+        monkeypatch.setattr(_Tally, "add", add)
+        before = threading.active_count()
+        with pytest.raises(ShardFailure) as raised:
+            _sample([chunk_test_table("qubit")], THREADED_TRIALS, SEED, 0)
+        assert raised.value is error
+        survivor = "worker" if failing == "caller" else "caller"
+        assert tallied == {survivor: 2}
         assert threading.active_count() == before
 
     def test_two_workers_from_the_chunk_floor_on_two_cpus(self,

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from weakmeas.protocol import (
     OutcomeTable,
     UndefinedWeakValueError,
     WeakSetup,
+    _norm,
     aav_complex_weak_value,
     coupled_state,
     coupling_moment,
@@ -725,6 +727,13 @@ class TestEpsSweep:
             assert abs(record.moments[i]) <= record.moment_bounds[i]
             assert conditional[i] == (record.moments[i].real
                                       / record.probabilities[i])
+
+    def test_norm_of_a_huge_complex_vector_is_inf(self):
+        # the complex vdot forms a b - b a = inf - inf = nan for B r at a
+        # qubit rho of 1e200, and a NaN scale passed every residue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _norm(np.full(4, 1e200 * (1 + 1j))) == np.inf
 
     def test_undefined_and_empty_postselection_do_not_raise(self):
         for f in (StateVector([0, 1]), StateVector([1e-11, 1.0])):
