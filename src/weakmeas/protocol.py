@@ -374,7 +374,7 @@ def eps_sweep(setup: WeakSetup, sched: EpsSchedule = None) -> EpsSweep:
 def _norm(v: np.ndarray) -> float:
     # BLAS vdot of the float64 view: an overflow reads inf without a
     # warning, where the complex vdot's inf - inf cross terms read nan
-    x = np.ascontiguousarray(v, dtype=complex).view(np.float64)
+    x = v.view(np.float64)
     return math.sqrt(float(np.vdot(x, x)))
 
 

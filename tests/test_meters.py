@@ -166,6 +166,7 @@ class TestScalarArguments:
             with pytest.raises(error, match=f"^{message}"):
                 eval(call)
 
+
 class TestPositionOperator:
     def test_diagonal_of_grid_points(self):
         g = GridSpec(128, 10.0)
