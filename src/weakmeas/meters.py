@@ -8,6 +8,7 @@ coupling, Gaussian initial state).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -38,7 +39,7 @@ def _typed(x, name: str, kind=numbers.Real):
 
 def _finite_rho(rho, meter: str) -> float:
     rho = float(_typed(rho, "rho"))
-    if not np.isfinite(rho):
+    if not math.isfinite(rho):
         raise CalibrationError(f"{meter} meter rho {rho!r} is not finite")
     return rho
 
